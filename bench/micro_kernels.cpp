@@ -130,8 +130,10 @@ void bm_land_pooling_forward(benchmark::State& state) {
   nn::LandPooling pool(5, 24, nn::default_pool_ops(), rng);
   const tensor::Matrix land = random_matrix(64, 10 * 5, 4);
   const tensor::Matrix mask(64, 10, 1.0);
+  nn::LandPooling::PoolContext ctx;
+  tensor::Matrix out;
   for (auto _ : state) {
-    auto out = pool.forward(land, mask);
+    pool.forward(land, mask, ctx, out);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -143,9 +145,12 @@ void bm_land_pooling_backward(benchmark::State& state) {
   const tensor::Matrix land = random_matrix(64, 10 * 5, 6);
   const tensor::Matrix mask(64, 10, 1.0);
   const tensor::Matrix grad = random_matrix(64, pool.out_features(), 7);
-  pool.forward(land, mask);
+  nn::LandPooling::PoolContext ctx;
+  tensor::Matrix out, dland;
+  pool.forward(land, mask, ctx, out);
+  // The input-gradient backward: the pass gradient attention runs.
   for (auto _ : state) {
-    auto dland = pool.backward(grad);
+    pool.backward_input(grad, ctx, dland);
     benchmark::DoNotOptimize(dland.data());
   }
 }

@@ -22,26 +22,27 @@ struct AttentionResult {
   std::vector<double> gamma;
 };
 
-/// Runs one forward + one input-gradient backward pass on a single sample.
-/// Parameter gradients accumulated by the pass are zeroed before returning,
-/// so attention never perturbs training state.
-AttentionResult compute_attention(nn::CoarseNet& net,
+/// Gradient attention for a batch: one forward + one input-gradient
+/// backward pass over all rows (no parameter gradient is touched). The
+/// network is shared read-only — every intermediate lives in a workspace
+/// local to the call — so any number of threads may run this against one
+/// net at once. Result r is bit-identical to the call on row r alone:
+/// every per-row computation (GEMM accumulation order, pooling, softmax) is
+/// independent of the other rows.
+std::vector<AttentionResult> compute_attention_batch(
+    const nn::CoarseNet& net, const nn::LandBatch& batch,
+    const data::FeatureSpace& fs);
+
+/// The one-row case of compute_attention_batch(); `sample` must hold
+/// exactly one row.
+AttentionResult compute_attention(const nn::CoarseNet& net,
                                   const nn::LandBatch& sample,
                                   const data::FeatureSpace& fs);
-
-/// Gradient attention for a whole batch in one forward + one input-only
-/// backward pass (no parameter gradients are touched). Result r is
-/// bit-identical to compute_attention() on row r alone: every per-row
-/// computation (GEMM accumulation order, pooling, softmax) is independent
-/// of the other rows.
-std::vector<AttentionResult> compute_attention_batch(
-    nn::CoarseNet& net, const nn::LandBatch& batch,
-    const data::FeatureSpace& fs);
 
 /// One specialized head's slice of a shared-pooling union batch: which
 /// union-batch rows this net scores.
 struct PooledGroup {
-  nn::CoarseNet* net = nullptr;
+  const nn::CoarseNet* net = nullptr;
   std::vector<std::size_t> rows;
 };
 
@@ -65,7 +66,7 @@ std::vector<AttentionResult> compute_attention_shared_pooling(
 /// as the drop in the winning class probability. Costs m forward passes
 /// instead of one backward pass; compared against the gradient method in
 /// bench/ablation_attention.
-AttentionResult compute_occlusion_attention(nn::CoarseNet& net,
+AttentionResult compute_occlusion_attention(const nn::CoarseNet& net,
                                             const nn::LandBatch& sample,
                                             const data::FeatureSpace& fs);
 

@@ -1,7 +1,6 @@
 #include "core/batch_diagnoser.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/attention.h"
 #include "data/encoding.h"
@@ -15,7 +14,7 @@ namespace {
 /// One serving network's contiguous slice of a chunk: rows
 /// [begin, end) of the chunk's batch belong to `net`.
 struct SubGroup {
-  nn::CoarseNet* net = nullptr;
+  const nn::CoarseNet* net = nullptr;
   std::size_t begin = 0, end = 0;
 };
 
@@ -35,7 +34,7 @@ struct Chunk {
 /// All requests that share one landmark mask, split per serving network in
 /// first-appearance order.
 struct NetRun {
-  nn::CoarseNet* net = nullptr;
+  const nn::CoarseNet* net = nullptr;
   std::vector<std::size_t> indices;
 };
 struct MaskGroup {
@@ -45,7 +44,7 @@ struct MaskGroup {
 
 }  // namespace
 
-BatchDiagnoser::BatchDiagnoser(DiagNetModel& model,
+BatchDiagnoser::BatchDiagnoser(const DiagNetModel& model,
                                BatchDiagnoserConfig config)
     : model_(&model), config_(config) {
   DIAGNET_REQUIRE(config_.batch_size > 0);
@@ -75,9 +74,9 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
     const DiagnoseRequest& request = requests[i];
     results[i].status = model_->validate(request);
     if (!results[i].status.ok()) continue;
-    nn::CoarseNet* net = config_.use_general || request.use_general
-                             ? &model_->general_net()
-                             : &model_->service_net(request.service);
+    const nn::CoarseNet* net = config_.use_general || request.use_general
+                                   ? &model_->general_net()
+                                   : &model_->service_net(request.service);
     const std::vector<bool>* mask = request.landmark_available.empty()
                                         ? &all_landmarks
                                         : &request.landmark_available;
@@ -158,28 +157,11 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
 
   util::ThreadPool& pool =
       config_.pool ? *config_.pool : util::ThreadPool::global();
-  // Layer forward passes cache activations inside the layer objects, so
-  // concurrent chunks must not share a network. With a serial pool the
-  // chunks run one after another on the caller thread and the model's own
-  // networks can be used directly (no clone cost).
-  const bool concurrent = pool.size() > 1 && chunks.size() > 1;
-
+  // Chunks run concurrently against the shared networks; each attention
+  // call below keeps its activations in a workspace of its own.
   pool.parallel_for(chunks.size(), [&](std::size_t ci) {
     const Chunk& chunk = chunks[ci];
     const std::vector<bool>& mask = *chunk.mask;
-    // Layer forward caches are not thread-safe, so concurrent chunks work
-    // on private clones — one per distinct network in the chunk (a network
-    // appears in at most one part).
-    std::vector<std::unique_ptr<nn::CoarseNet>> private_nets;
-    std::vector<nn::CoarseNet*> part_nets(chunk.parts.size());
-    for (std::size_t p = 0; p < chunk.parts.size(); ++p) {
-      nn::CoarseNet* net = chunk.parts[p].net;
-      if (concurrent) {
-        private_nets.push_back(net->clone());
-        net = private_nets.back().get();
-      }
-      part_nets[p] = net;
-    }
 
     nn::LandBatch batch;
     {
@@ -194,13 +176,13 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
     {
       DIAGNET_SPAN("diagnose.batch.attention");
       if (gradient && chunk.parts.size() == 1) {
-        attention = compute_attention_batch(*part_nets[0], batch, fs);
+        attention = compute_attention_batch(*chunk.parts[0].net, batch, fs);
       } else if (gradient) {
         // Shared-pooling union: pool the whole chunk once, fan the FC
         // stacks out per head.
         std::vector<PooledGroup> pooled_groups(chunk.parts.size());
         for (std::size_t p = 0; p < chunk.parts.size(); ++p) {
-          pooled_groups[p].net = part_nets[p];
+          pooled_groups[p].net = chunk.parts[p].net;
           pooled_groups[p].rows.resize(chunk.parts[p].end -
                                        chunk.parts[p].begin);
           for (std::size_t s = 0; s < pooled_groups[p].rows.size(); ++s)
@@ -219,7 +201,7 @@ std::vector<DiagnoseResponse> BatchDiagnoser::run(
                 requests[chunk.indices[r]].features, fs, model_->normalizer(),
                 mask);
             attention.push_back(
-                compute_occlusion_attention(*part_nets[p], row, fs));
+                compute_occlusion_attention(*chunk.parts[p].net, row, fs));
           }
         }
       }

@@ -6,9 +6,11 @@
 // Requests are grouped by landmark mask, then by serving network — a
 // service's specialised model when one exists, the general model otherwise.
 // Each group is cut into batches of `batch_size` rows, and batches are
-// processed in parallel on a thread pool. Inside a batch the coarse network
-// runs ONE forward pass and ONE input-only backward pass for all rows (see
-// CoarseNet::backward_inputs); everything downstream of the attention step
+// processed in parallel on a thread pool, all against the one shared,
+// immutable model: each batch keeps its activations in its own workspace,
+// so no network is copied. Inside a batch the coarse network runs ONE
+// forward pass and ONE input-only backward pass for all rows (see
+// CoarseNet::backward_input); everything downstream of the attention step
 // is per-row. When the networks within a mask group share bit-identical
 // frozen LandPooling parameters (per-service heads fine-tuned with
 // --freeze-kernel), their requests share union batches: the pooling stage —
@@ -37,8 +39,8 @@ struct BatchDiagnoserConfig {
   /// Rows per coarse-network forward/backward pass.
   std::size_t batch_size = 64;
   /// Pool for outer parallelism over batches; nullptr selects the global
-  /// pool. With more than one worker each batch runs on a private clone of
-  /// the serving network (layer forward caches are not thread-safe).
+  /// pool. Concurrent batches share the model's networks read-only, each
+  /// with its own workspace.
   util::ThreadPool* pool = nullptr;
   /// Route every request through the general model, ignoring services.
   /// (Per-request routing is expressed with DiagnoseRequest::use_general;
@@ -48,7 +50,7 @@ struct BatchDiagnoserConfig {
 
 class BatchDiagnoser {
  public:
-  explicit BatchDiagnoser(DiagNetModel& model,
+  explicit BatchDiagnoser(const DiagNetModel& model,
                           BatchDiagnoserConfig config = {});
 
   /// Diagnose all requests; response i corresponds to request i. Requests
@@ -60,7 +62,7 @@ class BatchDiagnoser {
   const BatchDiagnoserConfig& config() const { return config_; }
 
  private:
-  DiagNetModel* model_;
+  const DiagNetModel* model_;
   BatchDiagnoserConfig config_;
 };
 

@@ -149,12 +149,12 @@ util::Status DiagNetModel::adopt_specialized(std::size_t service,
   return util::Status();
 }
 
-nn::CoarseNet& DiagNetModel::general_net() {
+const nn::CoarseNet& DiagNetModel::general_net() const {
   DIAGNET_REQUIRE(trained());
   return *general_;
 }
 
-nn::CoarseNet& DiagNetModel::service_net(std::size_t service) {
+const nn::CoarseNet& DiagNetModel::service_net(std::size_t service) const {
   DIAGNET_REQUIRE(trained());
   const auto it = specialized_.find(service);
   return it != specialized_.end() ? *it->second : *general_;
@@ -177,7 +177,7 @@ util::Status DiagNetModel::validate(const DiagnoseRequest& request) const {
   return {};
 }
 
-DiagnoseResponse DiagNetModel::diagnose(const DiagnoseRequest& request) {
+DiagnoseResponse DiagNetModel::diagnose(const DiagnoseRequest& request) const {
   DiagnoseResponse response;
   response.status = validate(request);
   if (!response.status.ok()) return response;
@@ -187,7 +187,7 @@ DiagnoseResponse DiagNetModel::diagnose(const DiagnoseRequest& request) {
     all_landmarks.assign(fs_->landmark_count(), true);
     mask = &all_landmarks;
   }
-  nn::CoarseNet& net =
+  const nn::CoarseNet& net =
       request.use_general ? *general_ : service_net(request.service);
   [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
   response.diagnosis = diagnose_with(net, request.features, *mask);
@@ -200,8 +200,8 @@ DiagnoseResponse DiagNetModel::diagnose(const DiagnoseRequest& request) {
 }
 
 Diagnosis DiagNetModel::diagnose_with(
-    nn::CoarseNet& net, const std::vector<double>& raw_features,
-    const std::vector<bool>& landmark_available) {
+    const nn::CoarseNet& net, const std::vector<double>& raw_features,
+    const std::vector<bool>& landmark_available) const {
   DIAGNET_SPAN("diagnet.diagnose");
   DIAGNET_COUNT("diagnet.diagnose.calls");
   // Steps 1-5 of Fig. 2 on the (possibly larger-than-training) fleet.
@@ -264,12 +264,12 @@ Diagnosis DiagNetModel::complete_diagnosis(
 
 std::vector<double> DiagNetModel::coarse_predict(
     const std::vector<double>& raw_features, std::size_t service,
-    const std::vector<bool>& landmark_available) {
+    const std::vector<bool>& landmark_available) const {
   DIAGNET_REQUIRE_MSG(trained(), "train_general() first");
   const nn::LandBatch batch = data::encode_sample(
       raw_features, *fs_, normalizer_, landmark_available);
-  const nn::Matrix logits = service_net(service).forward(batch);
-  return nn::softmax(logits).row_copy(0);
+  nn::CoarseWorkspace ws;
+  return nn::softmax(service_net(service).forward(batch, ws)).row_copy(0);
 }
 
 }  // namespace diagnet::core

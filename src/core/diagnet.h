@@ -126,13 +126,15 @@ class DiagNetModel {
   /// Diagnose one request (the stable API): validates the request shape
   /// and model state into the response Status instead of throwing, routes
   /// through the service's specialised model (or the general one when
-  /// request.use_general), and returns the ranked diagnosis.
-  DiagnoseResponse diagnose(const DiagnoseRequest& request);
+  /// request.use_general), and returns the ranked diagnosis. Const and
+  /// thread-safe: inference reads the networks and keeps its activations in
+  /// a per-call workspace, so many threads may share one model.
+  DiagnoseResponse diagnose(const DiagnoseRequest& request) const;
 
   /// Coarse fault-family probabilities only (Fig. 7 evaluates these).
-  std::vector<double> coarse_predict(const std::vector<double>& raw_features,
-                                     std::size_t service,
-                                     const std::vector<bool>& landmark_available);
+  std::vector<double> coarse_predict(
+      const std::vector<double>& raw_features, std::size_t service,
+      const std::vector<bool>& landmark_available) const;
 
   /// Shared tail of diagnose(): Algorithm 1 score weighting, ensemble
   /// blending with the auxiliary forest, and ranking, starting from an
@@ -170,8 +172,10 @@ class DiagNetModel {
   const data::FeatureSpace& feature_space() const { return *fs_; }
   const data::Normalizer& normalizer() const { return normalizer_; }
   const forest::ExtensibleForest& auxiliary() const { return auxiliary_; }
-  nn::CoarseNet& general_net();
-  nn::CoarseNet& service_net(std::size_t service);
+  const nn::CoarseNet& general_net() const;
+  /// The network that serves `service`: its specialised head when one
+  /// exists, the general network otherwise.
+  const nn::CoarseNet& service_net(std::size_t service) const;
   /// Features unseen during training (the set U of §III-F).
   const std::vector<std::size_t>& unknown_features() const {
     return unknown_features_;
@@ -196,9 +200,9 @@ class DiagNetModel {
   }
 
  private:
-  Diagnosis diagnose_with(nn::CoarseNet& net,
+  Diagnosis diagnose_with(const nn::CoarseNet& net,
                           const std::vector<double>& raw_features,
-                          const std::vector<bool>& landmark_available);
+                          const std::vector<bool>& landmark_available) const;
 
   const data::FeatureSpace* fs_;
   DiagNetConfig config_;

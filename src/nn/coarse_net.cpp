@@ -39,33 +39,9 @@ CoarseNet::CoarseNet(const CoarseNetConfig& config, util::Rng& rng)
   std::size_t in = pool_.out_features() + config.local_features;
   for (std::size_t h : config.hidden) {
     fc_.emplace_back(in, h, rng);
-    relu_.emplace_back();
     in = h;
   }
   fc_.emplace_back(in, config.classes, rng);
-}
-
-Matrix CoarseNet::forward(const LandBatch& batch) {
-  DIAGNET_REQUIRE(batch.local.cols() == config_.local_features);
-  DIAGNET_REQUIRE(batch.local.rows() == batch.land.rows());
-
-  const Matrix pooled = pool_.forward(batch.land, batch.mask);
-
-  // Concatenate pooled landmark representation with local features.
-  Matrix x(batch.size(), pooled.cols() + batch.local.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    double* row = x.row_ptr(r);
-    std::copy(pooled.row_ptr(r), pooled.row_ptr(r) + pooled.cols(), row);
-    std::copy(batch.local.row_ptr(r),
-              batch.local.row_ptr(r) + batch.local.cols(),
-              row + local_offset_);
-  }
-
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
-    x = fc_[i].forward(x);
-    x = relu_[i].forward(x);
-  }
-  return fc_.back().forward(x);
 }
 
 void CoarseNet::init_workspace(CoarseWorkspace& ws) const {
@@ -74,29 +50,33 @@ void CoarseNet::init_workspace(CoarseWorkspace& ws) const {
   for (std::size_t i = 0; i < params.size(); ++i)
     ws.param_grads[i].resize_zero(params[i]->value.rows(),
                                   params[i]->value.cols());
-  ws.act.resize(relu_.size());
 }
 
 const Matrix& CoarseNet::forward(const LandBatch& batch,
                                  CoarseWorkspace& ws) const {
-  DIAGNET_REQUIRE(batch.local.cols() == config_.local_features);
-  DIAGNET_REQUIRE(batch.local.rows() == batch.land.rows());
-  ws.act.resize(relu_.size());  // no-op once sized
-
   pool_.forward(batch.land, batch.mask, ws.pool, ws.pooled);
+  return forward_fc(ws.pooled, batch.local, ws);
+}
 
-  ws.concat.resize(batch.size(), local_offset_ + config_.local_features);
+const Matrix& CoarseNet::forward_fc(const Matrix& pooled, const Matrix& local,
+                                    CoarseWorkspace& ws) const {
+  DIAGNET_REQUIRE(pooled.cols() == local_offset_ &&
+                  local.cols() == config_.local_features &&
+                  pooled.rows() == local.rows());
+  const std::size_t hidden = fc_.size() - 1;
+  ws.act.resize(hidden);  // no-op once sized
+
+  // Concatenate the pooled landmark representation with local features.
+  ws.concat.resize(pooled.rows(), local_offset_ + config_.local_features);
   for (std::size_t r = 0; r < ws.concat.rows(); ++r) {
     double* row = ws.concat.row_ptr(r);
-    std::copy(ws.pooled.row_ptr(r), ws.pooled.row_ptr(r) + ws.pooled.cols(),
-              row);
-    std::copy(batch.local.row_ptr(r),
-              batch.local.row_ptr(r) + batch.local.cols(),
+    std::copy(pooled.row_ptr(r), pooled.row_ptr(r) + pooled.cols(), row);
+    std::copy(local.row_ptr(r), local.row_ptr(r) + local.cols(),
               row + local_offset_);
   }
 
   const Matrix* x = &ws.concat;
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
+  for (std::size_t i = 0; i < hidden; ++i) {
     fc_[i].forward_into(*x, ws.act[i]);
     relu_inplace(ws.act[i]);
     x = &ws.act[i];
@@ -105,132 +85,58 @@ const Matrix& CoarseNet::forward(const LandBatch& batch,
   return ws.logits;
 }
 
-void CoarseNet::backward(const Matrix& grad_logits,
-                         CoarseWorkspace& ws) const {
+void CoarseNet::backward_fc(const Matrix& grad_logits, CoarseWorkspace& ws,
+                            bool params) const {
   // ws.param_grads order matches parameters(): pooling kernel and bias
   // first, then (weight, bias) per fully-connected layer.
-  const auto fc_grad = [&](std::size_t layer) -> std::pair<Matrix&, Matrix&> {
-    return {ws.param_grads[2 + 2 * layer], ws.param_grads[3 + 2 * layer]};
+  const auto layer_backward = [&](std::size_t layer, const Matrix& in,
+                                  const Matrix& grad_out, Matrix& grad_in) {
+    if (params)
+      fc_[layer].backward_into(in, grad_out, ws.param_grads[2 + 2 * layer],
+                               ws.param_grads[3 + 2 * layer], &grad_in);
+    else
+      fc_[layer].backward_input_into(grad_out, grad_in);
   };
 
-  const std::size_t last = fc_.size() - 1;
-  const Matrix& last_in = relu_.empty() ? ws.concat : ws.act.back();
-  auto [lw, lb] = fc_grad(last);
-  fc_[last].backward_into(last_in, grad_logits, lw, lb, &ws.grad_a);
-
-  for (std::size_t i = relu_.size(); i-- > 0;) {
+  const std::size_t hidden = fc_.size() - 1;
+  layer_backward(hidden, hidden == 0 ? ws.concat : ws.act.back(), grad_logits,
+                 ws.grad_a);
+  for (std::size_t i = hidden; i-- > 0;) {
     relu_gate_inplace(ws.act[i], ws.grad_a);
-    const Matrix& in = i == 0 ? ws.concat : ws.act[i - 1];
-    auto [w, b] = fc_grad(i);
-    fc_[i].backward_into(in, ws.grad_a, w, b, &ws.grad_b);
+    layer_backward(i, i == 0 ? ws.concat : ws.act[i - 1], ws.grad_a,
+                   ws.grad_b);
     std::swap(ws.grad_a, ws.grad_b);
   }
 
-  // Split the concat gradient: only the pooled part is needed — the local
-  // features are network inputs whose gradient training never uses.
+  // Split off the pooled part of the concat gradient.
   ws.grad_pooled.resize(ws.grad_a.rows(), local_offset_);
   for (std::size_t r = 0; r < ws.grad_a.rows(); ++r) {
     const double* row = ws.grad_a.row_ptr(r);
     std::copy(row, row + local_offset_, ws.grad_pooled.row_ptr(r));
   }
+}
+
+void CoarseNet::backward(const Matrix& grad_logits,
+                         CoarseWorkspace& ws) const {
+  backward_fc(grad_logits, ws, /*params=*/true);
   pool_.backward_params(ws.grad_pooled, ws.pool, ws.param_grads[0],
                         ws.param_grads[1]);
 }
 
-void CoarseNet::backward(const Matrix& grad_logits, Matrix* grad_land,
-                         Matrix* grad_local) {
-  Matrix g = fc_.back().backward(grad_logits);
-  for (std::size_t i = relu_.size(); i-- > 0;) {
-    g = relu_[i].backward(g);
-    g = fc_[i].backward(g);
+void CoarseNet::backward_input_fc(const Matrix& grad_logits,
+                                  CoarseWorkspace& ws) const {
+  backward_fc(grad_logits, ws, /*params=*/false);
+  ws.grad_local.resize(ws.grad_a.rows(), config_.local_features);
+  for (std::size_t r = 0; r < ws.grad_a.rows(); ++r) {
+    const double* row = ws.grad_a.row_ptr(r) + local_offset_;
+    std::copy(row, row + config_.local_features, ws.grad_local.row_ptr(r));
   }
-
-  // Split the concat gradient back into (pooled, local) parts.
-  Matrix grad_pooled(g.rows(), local_offset_);
-  for (std::size_t r = 0; r < g.rows(); ++r) {
-    const double* row = g.row_ptr(r);
-    std::copy(row, row + local_offset_, grad_pooled.row_ptr(r));
-  }
-  if (grad_local) {
-    *grad_local = Matrix(g.rows(), config_.local_features);
-    for (std::size_t r = 0; r < g.rows(); ++r) {
-      const double* row = g.row_ptr(r) + local_offset_;
-      std::copy(row, row + config_.local_features, grad_local->row_ptr(r));
-    }
-  }
-
-  // LandPooling backward also accumulates kernel/bias gradients; it must run
-  // even when the caller discards the input gradient.
-  Matrix dland = pool_.backward(grad_pooled);
-  if (grad_land) *grad_land = std::move(dland);
 }
 
-void CoarseNet::backward_inputs(const Matrix& grad_logits, Matrix* grad_land,
-                                Matrix* grad_local) {
-  Matrix g = fc_.back().backward_input(grad_logits);
-  for (std::size_t i = relu_.size(); i-- > 0;) {
-    g = relu_[i].backward(g);
-    g = fc_[i].backward_input(g);
-  }
-
-  // Split the concat gradient back into (pooled, local) parts.
-  Matrix grad_pooled(g.rows(), local_offset_);
-  for (std::size_t r = 0; r < g.rows(); ++r) {
-    const double* row = g.row_ptr(r);
-    std::copy(row, row + local_offset_, grad_pooled.row_ptr(r));
-  }
-  if (grad_local) {
-    *grad_local = Matrix(g.rows(), config_.local_features);
-    for (std::size_t r = 0; r < g.rows(); ++r) {
-      const double* row = g.row_ptr(r) + local_offset_;
-      std::copy(row, row + config_.local_features, grad_local->row_ptr(r));
-    }
-  }
-
-  Matrix dland = pool_.backward_input(grad_pooled);
-  if (grad_land) *grad_land = std::move(dland);
-}
-
-Matrix CoarseNet::forward_from_pooled(const Matrix& pooled,
-                                      const Matrix& local) {
-  DIAGNET_REQUIRE(pooled.cols() == local_offset_ &&
-                  local.cols() == config_.local_features &&
-                  pooled.rows() == local.rows());
-  Matrix x(pooled.rows(), local_offset_ + config_.local_features);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    double* row = x.row_ptr(r);
-    std::copy(pooled.row_ptr(r), pooled.row_ptr(r) + pooled.cols(), row);
-    std::copy(local.row_ptr(r), local.row_ptr(r) + local.cols(),
-              row + local_offset_);
-  }
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
-    x = fc_[i].forward(x);
-    x = relu_[i].forward(x);
-  }
-  return fc_.back().forward(x);
-}
-
-Matrix CoarseNet::backward_inputs_from_pooled(const Matrix& grad_logits,
-                                              Matrix* grad_local) {
-  Matrix g = fc_.back().backward_input(grad_logits);
-  for (std::size_t i = relu_.size(); i-- > 0;) {
-    g = relu_[i].backward(g);
-    g = fc_[i].backward_input(g);
-  }
-
-  Matrix grad_pooled(g.rows(), local_offset_);
-  for (std::size_t r = 0; r < g.rows(); ++r) {
-    const double* row = g.row_ptr(r);
-    std::copy(row, row + local_offset_, grad_pooled.row_ptr(r));
-  }
-  if (grad_local) {
-    *grad_local = Matrix(g.rows(), config_.local_features);
-    for (std::size_t r = 0; r < g.rows(); ++r) {
-      const double* row = g.row_ptr(r) + local_offset_;
-      std::copy(row, row + config_.local_features, grad_local->row_ptr(r));
-    }
-  }
-  return grad_pooled;
+void CoarseNet::backward_input(const Matrix& grad_logits,
+                               CoarseWorkspace& ws) const {
+  backward_input_fc(grad_logits, ws);
+  pool_.backward_input(ws.grad_pooled, ws.pool, ws.grad_land);
 }
 
 void CoarseNet::set_quantized(bool on) {
@@ -252,10 +158,6 @@ std::vector<Parameter*> CoarseNet::parameters() {
     for (Parameter* p : layer.parameters()) params.push_back(p);
   }
   return params;
-}
-
-void CoarseNet::zero_grad() {
-  for (Parameter* p : parameters()) p->zero_grad();
 }
 
 std::size_t CoarseNet::parameter_count() const {

@@ -6,14 +6,14 @@
 //
 // The network exposes input gradients (both landmark and local) because the
 // attention step (Fig. 2, step 5) differentiates the ideal-label loss with
-// respect to the features.
+// respect to the features. All passes are const and run on a caller-owned
+// CoarseWorkspace, so one network serves any number of threads.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <vector>
 
-#include "nn/activations.h"
 #include "nn/batch.h"
 #include "nn/land_pooling.h"
 #include "nn/linear.h"
@@ -30,12 +30,12 @@ struct CoarseNetConfig {
   std::size_t classes = 7;                 // c
 };
 
-/// Per-thread forward/backward state for the data-parallel training path:
-/// activations, gradient scratch, and a full set of parameter-gradient
-/// accumulators (same order as CoarseNet::parameters()). One workspace per
-/// training shard lets any number of shards run forward+backward
-/// concurrently against one shared network; every buffer is reused with
-/// capacity-aware resizes, so steady-state steps allocate nothing.
+/// Per-thread forward/backward state: activations, gradient scratch, and
+/// (for training) a full set of parameter-gradient accumulators in the
+/// order of CoarseNet::parameters(). One workspace per thread lets any
+/// number of threads run forward+backward concurrently against one shared
+/// network; every buffer is reused with capacity-aware resizes, so
+/// steady-state passes allocate nothing.
 struct CoarseWorkspace {
   LandPooling::PoolContext pool;
   Matrix pooled;             // (B, ops·f)
@@ -45,6 +45,8 @@ struct CoarseWorkspace {
   Matrix grad_logits;        // dLoss/dLogits, filled by the loss
   Matrix grad_a, grad_b;     // ping-pong input-gradient buffers
   Matrix grad_pooled;        // concat gradient split, pooled part
+  Matrix grad_local;         // concat gradient split, local part (inputs)
+  Matrix grad_land;          // dLoss/d land (input-gradient backward)
   std::vector<Matrix> param_grads;  // ordered like parameters()
 
   /// Zero the parameter-gradient accumulators (start of every step).
@@ -57,41 +59,42 @@ class CoarseNet {
  public:
   CoarseNet(const CoarseNetConfig& config, util::Rng& rng);
 
-  /// Logits over the c coarse fault families, (B x c).
-  Matrix forward(const LandBatch& batch);
-
   /// Size a workspace's parameter-gradient accumulators (zeroed) for this
-  /// network. Call once per workspace; forward/backward below size the
-  /// remaining buffers on the fly.
+  /// network. Call once per training workspace; inference workspaces skip
+  /// it, and the passes below size every other buffer on the fly.
   void init_workspace(CoarseWorkspace& ws) const;
 
-  /// Workspace forward: same math as forward(), but every intermediate goes
-  /// into `ws` and nothing is cached on the layers — const, so training
-  /// shards share one network. Returns ws.logits.
+  /// Forward: logits over the c coarse fault families, (B x c). Every
+  /// intermediate goes into `ws`; returns ws.logits.
   const Matrix& forward(const LandBatch& batch, CoarseWorkspace& ws) const;
 
-  /// Workspace backward, parameter gradients only: accumulates into
+  /// FC-stack forward from already-pooled rows, for the shared-pooling
+  /// serving path: the caller pooled a (union) batch once and hands this
+  /// head its rows. The concat + FC half of forward(); per-row bits match
+  /// a full forward() of the same rows (the kernels' per-row group
+  /// structure is batch-size invariant). Returns ws.logits.
+  const Matrix& forward_fc(const Matrix& pooled, const Matrix& local,
+                           CoarseWorkspace& ws) const;
+
+  /// Parameter-gradient backward (training): accumulates into
   /// ws.param_grads (zero_param_grads() first). Input gradients are not
   /// produced — the training loop discards them, and skipping the
   /// LandPooling dx pass saves a full K^T·dF sweep per step.
   void backward(const Matrix& grad_logits, CoarseWorkspace& ws) const;
 
-  /// Backprop dLoss/dLogits. Accumulates parameter gradients; when
-  /// grad_land/grad_local are non-null they receive the input gradients.
-  void backward(const Matrix& grad_logits, Matrix* grad_land,
-                Matrix* grad_local);
+  /// Input-gradient backward (inference — gradient attention): writes
+  /// dLoss/d land into ws.grad_land and dLoss/d local into ws.grad_local.
+  /// No parameter gradient is touched, which skips roughly half the FLOPs
+  /// of a parameter backward.
+  void backward_input(const Matrix& grad_logits, CoarseWorkspace& ws) const;
 
-  /// Backprop dLoss/dLogits down to the inputs only: no parameter gradient
-  /// is accumulated (so no zero_grad() is needed afterwards). The input
-  /// gradients are bit-identical to backward()'s — dX never depends on the
-  /// dW/db accumulation — at roughly half the FLOPs and none of the
-  /// parameter-gradient memory traffic. This is the inference path used by
-  /// batched gradient attention.
-  void backward_inputs(const Matrix& grad_logits, Matrix* grad_land,
-                       Matrix* grad_local);
+  /// Input-gradient backward matching forward_fc: the FC chain only, into
+  /// ws.grad_pooled and ws.grad_local (the caller scatters the pooled part
+  /// into the union batch and runs one shared LandPooling backward).
+  void backward_input_fc(const Matrix& grad_logits,
+                         CoarseWorkspace& ws) const;
 
   std::vector<Parameter*> parameters();
-  void zero_grad();
   std::size_t parameter_count() const;
   std::size_t trainable_parameter_count() const;
 
@@ -111,27 +114,13 @@ class CoarseNet {
   /// pooling pass across specialized heads.
   bool shares_pooling_with(const CoarseNet& other) const;
 
-  /// FC-stack-only forward for the shared-pooling serving path: the caller
-  /// already pooled a (union) batch and hands this head its rows. Same
-  /// concat + FC math as forward(), with layer caches, so
-  /// backward_inputs_from_pooled() can follow. Per-row bits match a full
-  /// forward() of the same rows (the kernels' per-row group structure is
-  /// batch-size invariant).
-  Matrix forward_from_pooled(const Matrix& pooled, const Matrix& local);
-
-  /// Input-gradient backward matching forward_from_pooled: runs the FC
-  /// chain only and returns the gradient w.r.t. the pooled rows (the caller
-  /// scatters it into the union batch and runs one shared LandPooling
-  /// backward). grad_local, when non-null, receives the local-feature part.
-  Matrix backward_inputs_from_pooled(const Matrix& grad_logits,
-                                     Matrix* grad_local);
-
   const CoarseNetConfig& config() const { return config_; }
   LandPooling& pooling() { return pool_; }
   const LandPooling& pooling() const { return pool_; }
 
   /// Deep copy (shares nothing) — used to derive specialised models from
-  /// the general model.
+  /// the general model. Concurrent inference needs no copy: share the
+  /// network and give each thread its own CoarseWorkspace.
   std::unique_ptr<CoarseNet> clone() const;
 
   /// Flat parameter (de)serialisation, ordered deterministically.
@@ -141,10 +130,17 @@ class CoarseNet {
  private:
   CoarseNet(const CoarseNet&) = default;  // for clone()
 
+  /// The FC chain backward shared by both passes: dLoss/dLogits down to the
+  /// concat input (left in ws.grad_a, pooled part split into
+  /// ws.grad_pooled). With `params`, also accumulates the FC layers'
+  /// parameter gradients into ws.param_grads.
+  void backward_fc(const Matrix& grad_logits, CoarseWorkspace& ws,
+                   bool params) const;
+
   CoarseNetConfig config_;
   LandPooling pool_;
-  std::vector<Linear> fc_;     // hidden layers + output layer
-  std::vector<ReLU> relu_;     // one per hidden layer
+  std::vector<Linear> fc_;     // hidden layers (each followed by a ReLU)
+                               // + output layer
   std::size_t local_offset_ = 0;  // where local features sit in the concat
 };
 

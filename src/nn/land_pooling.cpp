@@ -159,24 +159,6 @@ void LandPooling::pool_from_conv(const Matrix& mask,
   }
 }
 
-Matrix LandPooling::forward(const Matrix& land, const Matrix& mask) {
-  DIAGNET_REQUIRE_MSG(land.cols() % k_ == 0, "land width must be L*k");
-  const std::size_t L = land.cols() / k_;
-  DIAGNET_REQUIRE(mask.rows() == land.rows() && mask.cols() == L);
-
-  land_ = land;
-  mask_ = mask;
-  batch_ = land.rows();
-  landmarks_ = L;
-  compute_conv(land, mask, conv_);
-
-  Matrix out;
-  std::vector<double> values;  // per (sample, filter): available conv values
-  std::vector<std::size_t> order;
-  pool_from_conv(mask, conv_, out, values, order);
-  return out;
-}
-
 void LandPooling::forward(const Matrix& land, const Matrix& mask,
                           PoolContext& ctx, Matrix& out) const {
   DIAGNET_REQUIRE_MSG(land.cols() % k_ == 0, "land width must be L*k");
@@ -191,15 +173,19 @@ void LandPooling::forward(const Matrix& land, const Matrix& mask,
   pool_from_conv(mask, ctx.conv, out, ctx.values, ctx.order);
 }
 
-void LandPooling::route_grads(const Matrix& mask,
-                              const std::vector<double>& conv,
-                              const Matrix& grad_pooled,
-                              std::vector<double>& dconv,
-                              std::vector<double>& values,
-                              std::vector<std::size_t>& order,
-                              std::vector<std::size_t>& slot_lam) const {
-  const std::size_t L = mask.cols();
-  const std::size_t batch = mask.rows();
+void LandPooling::route_grads(const Matrix& grad_pooled,
+                              PoolContext& ctx) const {
+  DIAGNET_REQUIRE_MSG(ctx.mask != nullptr && grad_pooled.rows() == ctx.batch &&
+                          grad_pooled.cols() == out_features(),
+                      "backward shape mismatch (call forward first)");
+  const Matrix& mask = *ctx.mask;
+  const std::vector<double>& conv = ctx.conv;
+  std::vector<double>& dconv = ctx.dconv;
+  std::vector<double>& values = ctx.values;
+  std::vector<std::size_t>& order = ctx.order;
+  std::vector<std::size_t>& slot_lam = ctx.slot_lam;
+  const std::size_t L = ctx.landmarks;
+  const std::size_t batch = ctx.batch;
   const tensor::detail::Kernels& K = tensor::detail::active_kernels();
 
   // Route pooled gradients into dF (per sample, landmark, filter).
@@ -265,35 +251,17 @@ void LandPooling::route_grads(const Matrix& mask,
   }
 }
 
-std::vector<double> LandPooling::route_pooled_grads(
-    const Matrix& grad_pooled) const {
-  DIAGNET_REQUIRE_MSG(grad_pooled.rows() == batch_ &&
-                          grad_pooled.cols() == out_features(),
-                      "backward shape mismatch (call forward first)");
-  std::vector<double> dconv;
-  std::vector<double> values;
-  std::vector<std::size_t> order, slot_lam;
-  route_grads(mask_, conv_, grad_pooled, dconv, values, order, slot_lam);
-  return dconv;
-}
-
 void LandPooling::backward_params(const Matrix& grad_pooled, PoolContext& ctx,
                                   Matrix& kernel_grad,
                                   Matrix& bias_grad) const {
-  DIAGNET_REQUIRE_MSG(ctx.land != nullptr && ctx.mask != nullptr &&
-                          grad_pooled.rows() == ctx.batch &&
-                          grad_pooled.cols() == out_features(),
-                      "backward shape mismatch (call ctx forward first)");
   DIAGNET_REQUIRE(kernel_grad.same_shape(kernel_.value) &&
                   bias_grad.same_shape(bias_.value));
+  route_grads(grad_pooled, ctx);
   const Matrix& land = *ctx.land;
   const Matrix& mask = *ctx.mask;
   const std::size_t L = ctx.landmarks;
-  route_grads(mask, ctx.conv, grad_pooled, ctx.dconv, ctx.values, ctx.order,
-              ctx.slot_lam);
 
-  // Stage 2, parameters only: dK += Σ dF[λ] ⊗ x[λ]; db += Σ dF[λ]. The
-  // dx = K^T·dF pass of backward() is skipped — the trainer discards it.
+  // Stage 2, parameters only: dK += Σ dF[λ] ⊗ x[λ]; db += Σ dF[λ].
   for (std::size_t i = 0; i < ctx.batch; ++i) {
     for (std::size_t lam = 0; lam < L; ++lam) {
       if (mask(i, lam) < 0.5) continue;
@@ -311,73 +279,19 @@ void LandPooling::backward_params(const Matrix& grad_pooled, PoolContext& ctx,
   }
 }
 
-Matrix LandPooling::backward(const Matrix& grad_pooled) {
-  const std::size_t L = landmarks_;
-  const std::vector<double> dconv = route_pooled_grads(grad_pooled);
-
-  // Stage 2: dK += Σ dF[λ] ⊗ x[λ]; db += Σ dF[λ]; dx[λ] = K^T · dF[λ].
-  Matrix dland(batch_, L * k_);
-  for (std::size_t i = 0; i < batch_; ++i) {
-    for (std::size_t lam = 0; lam < L; ++lam) {
-      if (mask_(i, lam) < 0.5) continue;
-      const double* x = land_.row_ptr(i) + lam * k_;
-      const double* df = dconv.data() + (i * L + lam) * filters_;
-      double* dx = dland.row_ptr(i) + lam * k_;
-      for (std::size_t j = 0; j < filters_; ++j) {
-        const double dfj = df[j];
-        if (dfj == 0.0) continue;
-        double* kg = kernel_.grad.row_ptr(j);
-        const double* kv = kernel_.value.row_ptr(j);
-        for (std::size_t t = 0; t < k_; ++t) {
-          kg[t] += dfj * x[t];
-          dx[t] += dfj * kv[t];
-        }
-        bias_.grad(0, j) += dfj;
-      }
-    }
-  }
-  return dland;
-}
-
-Matrix LandPooling::backward_input(const Matrix& grad_pooled) const {
-  const std::size_t L = landmarks_;
-  const std::vector<double> dconv = route_pooled_grads(grad_pooled);
-
-  // dx[λ] = K^T · dF[λ] only; kernel/bias gradients are not accumulated.
-  Matrix dland(batch_, L * k_);
-  for (std::size_t i = 0; i < batch_; ++i) {
-    for (std::size_t lam = 0; lam < L; ++lam) {
-      if (mask_(i, lam) < 0.5) continue;
-      const double* df = dconv.data() + (i * L + lam) * filters_;
-      double* dx = dland.row_ptr(i) + lam * k_;
-      for (std::size_t j = 0; j < filters_; ++j) {
-        const double dfj = df[j];
-        if (dfj == 0.0) continue;
-        const double* kv = kernel_.value.row_ptr(j);
-        for (std::size_t t = 0; t < k_; ++t) dx[t] += dfj * kv[t];
-      }
-    }
-  }
-  return dland;
-}
-
-Matrix LandPooling::backward_input_with(PoolContext& ctx,
-                                        const Matrix& grad_pooled) const {
-  DIAGNET_REQUIRE_MSG(ctx.mask != nullptr && grad_pooled.rows() == ctx.batch &&
-                          grad_pooled.cols() == out_features(),
-                      "backward shape mismatch (call ctx forward first)");
+void LandPooling::backward_input(const Matrix& grad_pooled, PoolContext& ctx,
+                                 Matrix& grad_land) const {
+  route_grads(grad_pooled, ctx);
   const Matrix& mask = *ctx.mask;
   const std::size_t L = ctx.landmarks;
-  route_grads(mask, ctx.conv, grad_pooled, ctx.dconv, ctx.values, ctx.order,
-              ctx.slot_lam);
 
-  // dx[λ] = K^T · dF[λ] only, same per-row math as backward_input().
-  Matrix dland(ctx.batch, L * k_);
+  // Stage 2, input only: dx[λ] = K^T · dF[λ].
+  grad_land.resize_zero(ctx.batch, L * k_);
   for (std::size_t i = 0; i < ctx.batch; ++i) {
     for (std::size_t lam = 0; lam < L; ++lam) {
       if (mask(i, lam) < 0.5) continue;
       const double* df = ctx.dconv.data() + (i * L + lam) * filters_;
-      double* dx = dland.row_ptr(i) + lam * k_;
+      double* dx = grad_land.row_ptr(i) + lam * k_;
       for (std::size_t j = 0; j < filters_; ++j) {
         const double dfj = df[j];
         if (dfj == 0.0) continue;
@@ -386,7 +300,6 @@ Matrix LandPooling::backward_input_with(PoolContext& ctx,
       }
     }
   }
-  return dland;
 }
 
 bool LandPooling::same_parameters(const LandPooling& other) const {

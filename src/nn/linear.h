@@ -1,41 +1,39 @@
 // Fully-connected layer: Y = X·W + b.
 #pragma once
 
-#include "nn/layer.h"
+#include <vector>
+
+#include "nn/parameter.h"
 #include "nn/quantized.h"
 #include "util/rng.h"
 
 namespace diagnet::nn {
 
-class Linear final : public Layer {
+class Linear {
  public:
   /// He-uniform initialisation (suits the ReLU activations that follow
   /// every hidden layer in the coarse model).
   Linear(std::size_t in, std::size_t out, util::Rng& rng);
 
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
-  /// Input gradient only: dX = dY · W^T, without touching weight_.grad /
-  /// bias_.grad. dX is independent of the parameter-gradient accumulation,
-  /// so the result is bit-identical to what backward() returns — this is
-  /// the inference-time path (attention needs input gradients, never
-  /// parameter gradients) and skips ~2/3 of backward's memory traffic.
-  Matrix backward_input(const Matrix& grad_output) const;
-
-  /// Workspace forward: out = input·W + b, capacity-aware resize of `out`,
-  /// no activation caching — const and safe to call concurrently from
-  /// several training shards against the same layer.
+  /// Forward: out = input·W + b, capacity-aware resize of `out`. Caches
+  /// nothing, so it is const and safe to call concurrently from several
+  /// threads against the same layer.
   void forward_into(const Matrix& input, Matrix& out) const;
-  /// Workspace backward: accumulates dW into grad_weight (+=) and db into
-  /// grad_bias (+=) — both must be pre-sized and zeroed per step — and
-  /// writes dX into grad_input when non-null. `input` is the activation
+  /// Parameter-gradient backward: accumulates dW into grad_weight (+=) and
+  /// db into grad_bias (+=) — both must be pre-sized and zeroed per step —
+  /// and writes dX into grad_input when non-null. `input` is the activation
   /// that was fed to forward_into (the caller's workspace keeps it).
   void backward_into(const Matrix& input, const Matrix& grad_output,
                      Matrix& grad_weight, Matrix& grad_bias,
                      Matrix* grad_input) const;
+  /// Input-gradient backward: grad_input = dY · W^T, i.e. backward_into
+  /// without the weight/bias accumulation. dX never depends on that
+  /// accumulation, so the bits match backward_into's — this is the
+  /// inference path (attention needs input gradients, never parameter
+  /// gradients) and skips ~2/3 of the parameter backward's memory traffic.
+  void backward_input_into(const Matrix& grad_output, Matrix& grad_input) const;
 
-  std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
-  std::string name() const override { return "Linear"; }
+  std::vector<Parameter*> parameters() { return {&weight_, &bias_}; }
 
   std::size_t in_features() const { return weight_.value.rows(); }
   std::size_t out_features() const { return weight_.value.cols(); }
@@ -54,7 +52,6 @@ class Linear final : public Layer {
  private:
   Parameter weight_;  // (in x out)
   Parameter bias_;    // (1 x out)
-  Matrix input_;      // cached for backward
   QuantizedLinear quant_;  // int8 codes when quantized mode is on
 };
 

@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "nn/layer.h"
+#include "nn/parameter.h"
 
 namespace diagnet::nn {
 

@@ -87,13 +87,6 @@ double softmax_cross_entropy_sum(const Matrix& logits,
   return loss;
 }
 
-Matrix ideal_label_grad(const Matrix& logits_row, std::size_t target) {
-  DIAGNET_REQUIRE(logits_row.rows() == 1 && target < logits_row.cols());
-  Matrix g = softmax(logits_row);
-  g(0, target) -= 1.0;
-  return g;
-}
-
 Matrix ideal_label_grads(const Matrix& logits,
                          const std::vector<std::size_t>& targets) {
   DIAGNET_REQUIRE(targets.size() == logits.rows());

@@ -30,15 +30,10 @@ double softmax_cross_entropy_sum(const Matrix& logits,
                                  const std::size_t* labels, std::size_t n,
                                  Matrix* grad, double grad_scale);
 
-/// Gradient of -log softmax(logits)[target] w.r.t. the logits of a single
-/// row — the "ideal label" loss the attention mechanism backpropagates
-/// (paper §III-E, L* with y* = onehot(argmax y)).
-Matrix ideal_label_grad(const Matrix& logits_row, std::size_t target);
-
-/// Batched ideal-label gradient: row r gets the gradient of
-/// -log softmax(logits_r)[targets[r]]. Each row is computed exactly as
-/// ideal_label_grad() would — softmax is row-wise, so the result is
-/// bit-identical per row regardless of batch size.
+/// Gradient of the "ideal label" loss the attention mechanism
+/// backpropagates (paper §III-E, L* with y* = onehot(argmax y)): row r gets
+/// the gradient of -log softmax(logits_r)[targets[r]] w.r.t. the logits.
+/// Softmax is row-wise, so each row's bits do not depend on the batch size.
 Matrix ideal_label_grads(const Matrix& logits,
                          const std::vector<std::size_t>& targets);
 

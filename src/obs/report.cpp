@@ -48,7 +48,9 @@ void run_exit_report() {
       !write_metrics_file(report.metrics_path))
     std::cerr << "[obs] failed to write metrics " << report.metrics_path
               << '\n';
-  if (report.print_summary) std::cout << render_summary();
+  // stderr, never stdout: stdout may be a wire protocol (`serve` over
+  // stdio), and a summary there would corrupt the response stream.
+  if (report.print_summary) std::cerr << render_summary();
 }
 
 void append_json_number(std::string& out, double v) {

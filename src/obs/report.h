@@ -36,7 +36,8 @@ bool write_metrics_file(const std::string& path);
 /// Exit-time behaviour, applied once at process exit (std::atexit):
 ///  * trace_path  != "" — write the Chrome trace JSON there,
 ///  * metrics_path != "" — write metrics_to_json() there,
-///  * print_summary — print render_summary() to stdout.
+///  * print_summary — print render_summary() to stderr (stdout may carry a
+///    wire protocol).
 /// Each call overwrites the previous configuration; enabling any sink also
 /// turns telemetry on.
 void configure_exit_report(const std::string& trace_path,

@@ -66,11 +66,12 @@ constexpr std::uint64_t kListenerId = 1;
 constexpr std::uint64_t kFirstConnId = 2;
 
 /// One formatted response line handed back from a dispatcher thread.
+/// Never a protocol error: the line was well formed and the service
+/// resolved it (its own counters record rejections and sheds).
 struct Completed {
   std::uint64_t conn_id = 0;
   std::uint64_t seq = 0;
   std::string line;
-  bool is_error = false;
 };
 
 /// MPSC handoff from DiagnosisService completion callbacks to the loop
@@ -637,7 +638,6 @@ struct ReactorLoop::Impl {
           Completed done;
           done.conn_id = conn_id;
           done.seq = seq;
-          done.is_error = !response.ok();
           if (response.ok()) {
             const double latency_ms =
                 std::chrono::duration<double, std::milli>(clk() - submitted)
@@ -705,7 +705,8 @@ struct ReactorLoop::Impl {
       auto it = conns.find(item.conn_id);
       if (it == conns.end() || it->second.doomed) continue;  // gone: drop
       Conn& conn = it->second;
-      enqueue_response(conn, item.seq, std::move(item.line), item.is_error);
+      enqueue_response(conn, item.seq, std::move(item.line),
+                       /*is_error=*/false);
       if (!conn.doomed) update_state(conn);
     }
     return static_cast<int>(items.size());

@@ -90,7 +90,8 @@ struct ReactorStats {
   std::uint64_t slow_reader_closes = 0;  // write_close_bytes closes
   std::uint64_t over_capacity = 0;       // accepts refused at the cap
   std::uint64_t oversized_lines = 0;     // framing-limit violations
-  std::uint64_t protocol_errors = 0;     // error lines written
+  std::uint64_t protocol_errors = 0;     // error lines the reactor answered
+                                         // itself (parse, schema, bad cmd)
   std::uint64_t buffered_bytes = 0;      // pending response bytes
 
   /// The "reactor-level errors" rollup the serving SLO gate checks: not

@@ -100,12 +100,26 @@ SessionStats run_session(DiagnosisService& service,
         ++stats.responses;
         if (!ok) ++stats.errors;
       }
+      cv.notify_all();  // the reader may be waiting for room
     }
   });
 
+  // Backpressure: a pipe client cannot retry a rejected request, so the
+  // reader stops reading while this session's unanswered requests fill
+  // the service queue, instead of submitting into a full queue.
+  const std::size_t max_unanswered = service.config().queue_capacity;
+  const auto wait_for_room = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] {
+      return stats.requests - stats.responses < max_unanswered;
+    });
+  };
+
   std::string line;
-  while ((stop_flag == nullptr || !stop_flag->load()) &&
-         std::getline(in, line)) {
+  while (true) {
+    wait_for_room();
+    if ((stop_flag != nullptr && stop_flag->load()) || !std::getline(in, line))
+      break;
     if (line.empty()) continue;
     DIAGNET_SPAN("serve.request");
     DIAGNET_COUNT("serve.requests");
@@ -155,7 +169,7 @@ SessionStats run_session(DiagnosisService& service,
       ++stats.requests;
       pending.push_back(std::move(outgoing));
     }
-    cv.notify_one();
+    cv.notify_all();
   }
 
   {

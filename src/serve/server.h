@@ -7,8 +7,12 @@
 // DiagnosisService, and writes one response line per request *in
 // submission order* (a dedicated writer thread waits on the per-request
 // futures, so reading and writing overlap and a client may pipeline
-// thousands of requests without reading). EOF triggers the graceful
-// drain: every accepted request is answered before the session returns.
+// requests). The reader pauses while the session's unanswered requests
+// fill the service's queue_capacity, so a pipelining client is slowed
+// down, never rejected; such a client must read responses while it
+// writes, or both sides stall once the output pipe is full. EOF triggers
+// the graceful drain: every accepted request is answered before the
+// session returns.
 #pragma once
 
 #include <atomic>

@@ -137,31 +137,37 @@ void check_landpool_oracle(CaseContext& ctx) {
   nn::LandPooling pool(k, filters, nn::default_pool_ops(), layer_rng);
   const nn::LandBatch input = gen::land_batch(rng, batch, landmarks, k, 1);
 
-  const tensor::Matrix out = pool.forward(input.land, input.mask);
+  nn::LandPooling::PoolContext pool_ctx;
+  tensor::Matrix out;
+  pool.forward(input.land, input.mask, pool_ctx, out);
   const tensor::Matrix want = oracle::land_pooling(
       pool.kernel().value, pool.bias().value, pool.ops(), input.land,
       input.mask);
   ctx.check_near(oracle::max_rel_diff(out, want), 0.0, 1e-9,
                  "LandPooling forward vs oracle");
 
-  // Workspace path must match the member-cache path bit for bit.
-  ctx.begin_case();
-  nn::LandPooling::PoolContext ws;
-  tensor::Matrix ws_out;
-  pool.forward(input.land, input.mask, ws, ws_out);
-  ctx.check(oracle::max_abs_diff(out, ws_out) == 0.0,
-            "workspace forward must equal member forward bit-exact");
-
-  // backward_input routes identically to backward's input gradient.
+  // A reused context carries nothing over: after a forward and an input
+  // backward of another batch, forward + input backward of this batch give
+  // the bits of a fresh context.
   ctx.begin_case();
   const tensor::Matrix grad_pooled =
       gen::matrix(rng, batch, pool.out_features());
-  const tensor::Matrix dx_only = pool.backward_input(grad_pooled);
-  pool.kernel().zero_grad();
-  pool.bias().zero_grad();
-  const tensor::Matrix dx_full = pool.backward(grad_pooled);
-  ctx.check(oracle::max_abs_diff(dx_only, dx_full) == 0.0,
-            "backward_input must equal backward's dx bit-exact");
+  tensor::Matrix dx;
+  pool.backward_input(grad_pooled, pool_ctx, dx);
+  const nn::LandBatch other = gen::land_batch(
+      rng, gen::dim(rng, 1, 5), gen::dim(rng, 2, 9), k, 1);
+  nn::LandPooling::PoolContext reused;
+  tensor::Matrix reused_out, reused_dx;
+  pool.forward(other.land, other.mask, reused, reused_out);
+  pool.backward_input(gen::matrix(rng, other.size(), pool.out_features()),
+                      reused, reused_dx);
+  pool.forward(input.land, input.mask, reused, reused_out);
+  pool.backward_input(grad_pooled, reused, reused_dx);
+  ctx.check(oracle::max_abs_diff(out, reused_out) == 0.0,
+            "forward on a reused context must equal a fresh one bit-exact");
+  ctx.check(oracle::max_abs_diff(dx, reused_dx) == 0.0,
+            "input backward on a reused context must equal a fresh one "
+            "bit-exact");
 }
 
 void check_landpool_grad(CaseContext& ctx) {
@@ -201,18 +207,21 @@ void check_landpool_grad(CaseContext& ctx) {
 
   // Scalar loss L = Σ w ⊙ pool(land); dL/dpooled = w.
   const tensor::Matrix weights = gen::matrix(rng, 1, pool.out_features());
+  nn::LandPooling::PoolContext pool_ctx;
+  tensor::Matrix out;
   const auto loss = [&](const tensor::Matrix& land) {
-    const tensor::Matrix out = pool.forward(land, input.mask);
+    pool.forward(land, input.mask, pool_ctx, out);
     double total = 0.0;
     for (std::size_t j = 0; j < out.cols(); ++j)
       total += weights(0, j) * out(0, j);
     return total;
   };
 
-  pool.kernel().zero_grad();
-  pool.bias().zero_grad();
-  (void)pool.forward(input.land, input.mask);
-  const tensor::Matrix dx = pool.backward(weights);
+  // Both backward passes of one forward: parameters and input.
+  (void)loss(input.land);
+  tensor::Matrix kernel_grad(filters, k), bias_grad(1, filters), dx;
+  pool.backward_params(weights, pool_ctx, kernel_grad, bias_grad);
+  pool.backward_input(weights, pool_ctx, dx);
 
   const double eps = 1e-6;
   // Input gradient: probe a handful of coordinates.
@@ -242,7 +251,7 @@ void check_landpool_grad(CaseContext& ctx) {
     entry = saved - eps;
     const double down = param_loss();
     entry = saved;
-    ctx.check_near(pool.kernel().grad(f, t), (up - down) / (2.0 * eps), 1e-4,
+    ctx.check_near(kernel_grad(f, t), (up - down) / (2.0 * eps), 1e-4,
                    "kernel gradient vs finite difference (" +
                        std::to_string(f) + "," + std::to_string(t) + ")");
   }
@@ -254,7 +263,7 @@ void check_landpool_grad(CaseContext& ctx) {
     entry = saved - eps;
     const double down = param_loss();
     entry = saved;
-    ctx.check_near(pool.bias().grad(0, f), (up - down) / (2.0 * eps), 1e-4,
+    ctx.check_near(bias_grad(0, f), (up - down) / (2.0 * eps), 1e-4,
                    "bias gradient vs finite difference, filter " +
                        std::to_string(f));
   }

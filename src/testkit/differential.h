@@ -17,12 +17,12 @@ void check_gemm_oracle(CaseContext& ctx);
 /// sharded-sum variants) against the oracle.
 void check_softmax_oracle(CaseContext& ctx);
 
-/// LandPooling forward vs the from-first-principles oracle, and the
-/// member-cache vs workspace paths plus backward vs backward_input
-/// bit-equality.
+/// LandPooling forward vs the from-first-principles oracle, and forward +
+/// input backward on a reused PoolContext vs a fresh one (bit-equality).
 void check_landpool_oracle(CaseContext& ctx);
 
-/// LandPooling kernel/bias/input gradients vs central finite differences
+/// LandPooling kernel/bias gradients (parameter backward) and input
+/// gradients (input backward) vs central finite differences
 /// (samples regenerated until the pooling sort has a safe margin, so the
 /// loss is smooth within the probe step).
 void check_landpool_grad(CaseContext& ctx);

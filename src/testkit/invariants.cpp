@@ -18,6 +18,19 @@ namespace diagnet::testkit {
 
 namespace {
 
+tensor::Matrix pool_forward(const nn::LandPooling& pool,
+                            const nn::LandBatch& batch) {
+  nn::LandPooling::PoolContext pool_ctx;
+  tensor::Matrix out;
+  pool.forward(batch.land, batch.mask, pool_ctx, out);
+  return out;
+}
+
+tensor::Matrix logits_of(const nn::CoarseNet& net, const nn::LandBatch& batch) {
+  nn::CoarseWorkspace ws;
+  return net.forward(batch, ws);
+}
+
 constexpr double kTol = 1e-9;
 
 /// Move every landmark block λ of `batch` to slot perm[λ].
@@ -97,8 +110,8 @@ void check_pooling_permutation(CaseContext& ctx) {
   const auto perm = gen::permutation(rng, landmarks);
   const nn::LandBatch permuted = permute_landmarks(batch, perm, k);
 
-  const tensor::Matrix base = pool.forward(batch.land, batch.mask);
-  const tensor::Matrix out = pool.forward(permuted.land, permuted.mask);
+  const tensor::Matrix base = pool_forward(pool, batch);
+  const tensor::Matrix out = pool_forward(pool, permuted);
   ctx.check_near(oracle::max_abs_diff(base, out), 0.0, kTol,
                  "pooled features must ignore landmark order");
 
@@ -114,8 +127,8 @@ void check_pooling_permutation(CaseContext& ctx) {
   const auto nperm = gen::permutation(rng, L);
   const nn::LandBatch npermuted =
       permute_landmarks(nb, nperm, config.features_per_landmark);
-  const tensor::Matrix logits = net.forward(nb);
-  const tensor::Matrix logits_perm = net.forward(npermuted);
+  const tensor::Matrix logits = logits_of(net, nb);
+  const tensor::Matrix logits_perm = logits_of(net, npermuted);
   ctx.check_near(oracle::max_abs_diff(logits, logits_perm), 0.0, kTol,
                  "coarse logits must ignore landmark order");
 }
@@ -208,11 +221,10 @@ void check_extensibility_dims(CaseContext& ctx) {
   for (const std::size_t L : {l1, l2}) {
     const nn::LandBatch batch = gen::land_batch(
         rng, 2, L, config.features_per_landmark, config.local_features);
-    tensor::Matrix pooled =
-        net.pooling().forward(batch.land, batch.mask);
+    const tensor::Matrix pooled = pool_forward(net.pooling(), batch);
     ctx.check_eq(pooled.cols(), expected,
                  "pooled width with L=" + std::to_string(L));
-    const tensor::Matrix logits = net.forward(batch);
+    const tensor::Matrix logits = logits_of(net, batch);
     ctx.check_eq(logits.cols(), config.classes,
                  "logit width with L=" + std::to_string(L));
     ctx.check_eq(logits.rows(), batch.size(),
@@ -247,8 +259,8 @@ void check_extensibility_masked_noop(CaseContext& ctx) {
       ext.land(0, lam * k + t) = base.land(0, lam * k + t);
   }
 
-  const tensor::Matrix logits_base = net.forward(base);
-  const tensor::Matrix logits_ext = net.forward(ext);
+  const tensor::Matrix logits_base = logits_of(net, base);
+  const tensor::Matrix logits_ext = logits_of(net, ext);
   ctx.check(oracle::max_abs_diff(logits_base, logits_ext) == 0.0,
             "masked extra landmarks must be a bit-exact no-op on logits");
 

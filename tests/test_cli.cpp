@@ -8,19 +8,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
+
+#include "serve/json.h"
 
 namespace {
 
 struct CliResult {
   int exit_code = -1;
-  std::string output;  // stdout + stderr interleaved
+  std::string output;  // stdout + stderr interleaved, unless redirected
 };
 
-/// Run the CLI with the given argument string, capturing combined output.
-CliResult run_cli(const std::string& args) {
+/// Run the CLI with the given argument string, capturing combined output
+/// (or whatever `redirect` leaves on stdout).
+CliResult run_cli(const std::string& args,
+                  const std::string& redirect = " 2>&1") {
   const std::string command =
-      std::string(DIAGNET_CLI_PATH) + " " + args + " 2>&1";
+      std::string(DIAGNET_CLI_PATH) + " " + args + redirect;
   FILE* pipe = popen(command.c_str(), "r");
   if (!pipe) return {};
   CliResult result;
@@ -107,6 +112,38 @@ TEST(Cli, CorruptModelBundleExitsNonZeroWithError) {
   EXPECT_NE(r.output.find("error:"), std::string::npos);
   std::remove(campaign.c_str());
   std::remove(model.c_str());
+}
+
+TEST(Cli, ServeTelemetryKeepsStdoutPureJson) {
+  // stdout is the wire: the --telemetry summary must not land there.
+  const char* dir = std::getenv("TMPDIR");
+  const std::string base =
+      (dir && *dir ? std::string(dir) : std::string("/tmp")) +
+      "/diagnet_cli_serve_";
+  const CliResult sim =
+      run_cli("simulate --samples 800 --seed 3 --out " + base + "camp.csv");
+  ASSERT_EQ(sim.exit_code, 0) << sim.output;
+  const CliResult train = run_cli("train --campaign " + base +
+                                  "camp.csv --epochs 2 --out " + base +
+                                  "model.bin");
+  ASSERT_EQ(train.exit_code, 0) << train.output;
+  const CliResult reqs = run_cli("mkrequests --campaign " + base +
+                                 "camp.csv --limit 200 --out " + base +
+                                 "reqs.jsonl");
+  ASSERT_EQ(reqs.exit_code, 0) << reqs.output;
+
+  const CliResult served =
+      run_cli("serve --model " + base + "model.bin --telemetry",
+              " < " + base + "reqs.jsonl 2>/dev/null");
+  EXPECT_EQ(served.exit_code, 0);
+  std::istringstream lines(served.output);
+  std::size_t count = 0;
+  for (std::string line; std::getline(lines, line); ++count)
+    EXPECT_TRUE(diagnet::serve::parse_json(line).ok())
+        << "stdout line " << count << " is not JSON: " << line;
+  EXPECT_EQ(count, 200u);
+  for (const char* file : {"camp.csv", "model.bin", "reqs.jsonl"})
+    std::remove((base + file).c_str());
 }
 
 // ---------------------------------------------------------------------------

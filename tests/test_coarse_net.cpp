@@ -16,6 +16,7 @@ namespace diagnet::nn {
 namespace {
 
 using test::finite_difference;
+using test::logits;
 using test::random_matrix;
 using test::rel_error;
 
@@ -42,16 +43,16 @@ LandBatch tiny_batch(std::size_t batch, std::size_t landmarks,
 TEST(CoarseNet, LogitShape) {
   util::Rng rng(1);
   CoarseNet net(tiny_config(), rng);
-  const Matrix logits = net.forward(tiny_batch(5, 6, 2));
-  EXPECT_EQ(logits.rows(), 5u);
-  EXPECT_EQ(logits.cols(), 4u);
+  const Matrix out = logits(net, tiny_batch(5, 6, 2));
+  EXPECT_EQ(out.rows(), 5u);
+  EXPECT_EQ(out.cols(), 4u);
 }
 
 TEST(CoarseNet, HandlesVariableLandmarkCounts) {
   util::Rng rng(2);
   CoarseNet net(tiny_config(), rng);
-  EXPECT_EQ(net.forward(tiny_batch(2, 4, 3)).cols(), 4u);
-  EXPECT_EQ(net.forward(tiny_batch(2, 9, 4)).cols(), 4u);
+  EXPECT_EQ(logits(net, tiny_batch(2, 4, 3)).cols(), 4u);
+  EXPECT_EQ(logits(net, tiny_batch(2, 9, 4)).cols(), 4u);
 }
 
 TEST(CoarseNet, ParameterCountFormula) {
@@ -90,33 +91,39 @@ TEST(CoarseNet, EndToEndGradientCheck) {
   const std::vector<std::size_t> labels{0, 2, 3};
 
   const auto loss = [&] {
-    return softmax_cross_entropy(net.forward(batch), labels, nullptr);
+    return softmax_cross_entropy(logits(net, batch), labels, nullptr);
   };
 
-  net.zero_grad();
+  // Both backward passes of one forward: parameter gradients (training)
+  // and input gradients (attention).
+  CoarseWorkspace ws;
+  net.init_workspace(ws);
   Matrix grad_logits;
-  softmax_cross_entropy(net.forward(batch), labels, &grad_logits);
-  Matrix grad_land, grad_local;
-  net.backward(grad_logits, &grad_land, &grad_local);
+  softmax_cross_entropy(net.forward(batch, ws), labels, &grad_logits);
+  net.backward(grad_logits, ws);
+  net.backward_input(grad_logits, ws);
 
   // Sample a subset of parameters from every tensor (full sweep is slow).
-  for (Parameter* param : net.parameters()) {
+  const std::vector<Parameter*> params = net.parameters();
+  ASSERT_EQ(params.size(), ws.param_grads.size());
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    Parameter* param = params[p];
     util::Rng pick(reinterpret_cast<std::uintptr_t>(param));
     for (int trial = 0; trial < 6; ++trial) {
       const std::size_t r = pick.uniform_index(param->value.rows());
       const std::size_t c = pick.uniform_index(param->value.cols());
       const double fd = finite_difference(loss, param->value(r, c), 1e-5);
-      EXPECT_LT(rel_error(fd, param->grad(r, c)), 5e-4);
+      EXPECT_LT(rel_error(fd, ws.param_grads[p](r, c)), 5e-4);
     }
   }
   // Input gradients — the attention path.
   for (std::size_t c = 0; c < batch.land.cols(); c += 4) {
     const double fd = finite_difference(loss, batch.land(1, c), 1e-5);
-    EXPECT_LT(rel_error(fd, grad_land(1, c)), 5e-4);
+    EXPECT_LT(rel_error(fd, ws.grad_land(1, c)), 5e-4);
   }
   for (std::size_t c = 0; c < batch.local.cols(); ++c) {
     const double fd = finite_difference(loss, batch.local(0, c), 1e-5);
-    EXPECT_LT(rel_error(fd, grad_local(0, c)), 5e-4);
+    EXPECT_LT(rel_error(fd, ws.grad_local(0, c)), 5e-4);
   }
 }
 
@@ -143,14 +150,14 @@ TEST(CoarseNet, CloneIsDeepAndIdentical) {
   CoarseNet net(tiny_config(), rng);
   auto clone = net.clone();
   const LandBatch batch = tiny_batch(2, 5, 9);
-  const Matrix a = net.forward(batch);
-  const Matrix b = clone->forward(batch);
+  const Matrix a = logits(net, batch);
+  const Matrix b = logits(*clone, batch);
   for (std::size_t c = 0; c < a.cols(); ++c)
     EXPECT_DOUBLE_EQ(a(0, c), b(0, c));
 
   // Mutating the clone must not touch the original.
   clone->parameters()[0]->value(0, 0) += 1.0;
-  const Matrix a2 = net.forward(batch);
+  const Matrix a2 = logits(net, batch);
   for (std::size_t c = 0; c < a.cols(); ++c)
     EXPECT_DOUBLE_EQ(a(0, c), a2(0, c));
 }
@@ -162,8 +169,8 @@ TEST(CoarseNet, SaveLoadRoundTrip) {
   CoarseNet b(tiny_config(), rng2);  // different init
   b.load_parameters(a.save_parameters());
   const LandBatch batch = tiny_batch(2, 4, 12);
-  const Matrix ya = a.forward(batch);
-  const Matrix yb = b.forward(batch);
+  const Matrix ya = logits(a, batch);
+  const Matrix yb = logits(b, batch);
   for (std::size_t c = 0; c < ya.cols(); ++c)
     EXPECT_DOUBLE_EQ(ya(0, c), yb(0, c));
 }

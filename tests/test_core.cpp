@@ -1,14 +1,19 @@
 // Tests for DiagNet's inference components: gradient attention (§III-E),
-// Algorithm 1 score weighting, and ensemble averaging (§III-F).
+// Algorithm 1 score weighting, ensemble averaging (§III-F), and inference
+// on one model shared by several threads.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "core/attention.h"
+#include "core/diagnet.h"
 #include "core/ensemble.h"
 #include "core/score_weighting.h"
 #include "data/feature_space.h"
+#include "eval/pipeline.h"
 #include "tests/test_helpers.h"
 
 namespace diagnet::core {
@@ -93,6 +98,63 @@ TEST(Attention, RejectsBatches) {
   two.local = nn::Matrix(2, batch.local.cols());
   EXPECT_THROW(compute_attention(*fixture.net, two, fixture.fs),
                std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Shared-model inference
+
+TEST(DiagNetModel, SharedConstModelDiagnosesConcurrently) {
+  eval::PipelineConfig config = eval::PipelineConfig::small();
+  config.campaign.nominal_samples = 300;
+  config.campaign.fault_samples = 700;
+  config.diagnet.trainer.max_epochs = 3;
+  config.diagnet.specialization.max_epochs = 2;
+  config.seed = 77;
+  eval::Pipeline pipeline(config);
+  const DiagNetModel& model = pipeline.diagnet();
+
+  // General and specialised networks both take part.
+  std::vector<DiagnoseRequest> requests;
+  for (std::size_t idx : pipeline.faulty_test_indices()) {
+    const data::Sample& sample = pipeline.split().test.samples[idx];
+    requests.push_back({sample.features, sample.service,
+                        requests.size() % 3 == 0,
+                        pipeline.split().test.landmark_available});
+    if (requests.size() == 48) break;
+  }
+  ASSERT_GE(requests.size(), 16u);
+
+  std::vector<Diagnosis> sequential;
+  for (const DiagnoseRequest& request : requests) {
+    DiagnoseResponse response = model.diagnose(request);
+    ASSERT_TRUE(response.ok()) << response.status.message();
+    sequential.push_back(std::move(response.diagnosis));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<DiagnoseResponse>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (const DiagnoseRequest& request : requests)
+        results[t].push_back(model.diagnose(request));
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_TRUE(results[t][i].ok());
+      const Diagnosis& got = results[t][i].diagnosis;
+      const Diagnosis& want = sequential[i];
+      EXPECT_EQ(got.scores, want.scores) << "thread " << t << " request " << i;
+      EXPECT_EQ(got.ranking, want.ranking);
+      EXPECT_EQ(got.coarse_probs, want.coarse_probs);
+      EXPECT_EQ(got.coarse_argmax, want.coarse_argmax);
+      EXPECT_EQ(got.attention, want.attention);
+      EXPECT_EQ(got.w_unknown, want.w_unknown);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@
 #include <functional>
 #include <string>
 
+#include "nn/coarse_net.h"
+#include "nn/land_pooling.h"
 #include "tensor/matrix.h"
 #include "testkit/gen.h"
 #include "testkit/harness.h"
@@ -18,6 +20,23 @@ inline tensor::Matrix random_matrix(std::size_t rows, std::size_t cols,
                                     std::uint64_t seed, double scale = 1.0) {
   util::Rng rng(seed);
   return testkit::gen::matrix(rng, rows, cols, scale);
+}
+
+/// Logits of one forward pass through a fresh workspace.
+inline tensor::Matrix logits(const nn::CoarseNet& net,
+                             const nn::LandBatch& batch) {
+  nn::CoarseWorkspace ws;
+  return net.forward(batch, ws);
+}
+
+/// Pooled output of one forward pass through a fresh context.
+inline tensor::Matrix pool_forward(const nn::LandPooling& pool,
+                                   const tensor::Matrix& land,
+                                   const tensor::Matrix& mask) {
+  nn::LandPooling::PoolContext ctx;
+  tensor::Matrix out;
+  pool.forward(land, mask, ctx, out);
+  return out;
 }
 
 /// Central finite difference of a scalar function w.r.t. one entry of a

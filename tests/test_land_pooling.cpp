@@ -17,6 +17,7 @@ namespace diagnet::nn {
 namespace {
 
 using test::finite_difference;
+using test::pool_forward;
 using test::random_matrix;
 using test::rel_error;
 
@@ -32,7 +33,7 @@ TEST(LandPooling, OutputShape) {
   LandPooling pool = make_pool(default_pool_ops());
   const Matrix land = random_matrix(3, 10 * kK, 2);
   const Matrix mask(3, 10, 1.0);
-  const Matrix out = pool.forward(land, mask);
+  const Matrix out = pool_forward(pool, land, mask);
   EXPECT_EQ(out.rows(), 3u);
   EXPECT_EQ(out.cols(), 13u * kFilters);
 }
@@ -47,14 +48,14 @@ TEST(LandPooling, OutputIndependentOfLandmarkOrder) {
   const std::size_t L = 6;
   const Matrix land = random_matrix(1, L * kK, 3);
   const Matrix mask(1, L, 1.0);
-  const Matrix out = pool.forward(land, mask);
+  const Matrix out = pool_forward(pool, land, mask);
 
   // Rotate landmarks: the pooled output must be identical.
   Matrix rotated(1, L * kK);
   for (std::size_t lam = 0; lam < L; ++lam)
     for (std::size_t f = 0; f < kK; ++f)
       rotated(0, ((lam + 2) % L) * kK + f) = land(0, lam * kK + f);
-  const Matrix out_rotated = pool.forward(rotated, mask);
+  const Matrix out_rotated = pool_forward(pool, rotated, mask);
   for (std::size_t c = 0; c < out.cols(); ++c)
     EXPECT_NEAR(out(0, c), out_rotated(0, c), 1e-12);
 }
@@ -66,7 +67,7 @@ TEST(LandPooling, MaskedLandmarkEqualsPhysicallyRemoved) {
   Matrix mask(1, L, 1.0);
   mask(0, 2) = 0.0;  // hide landmark 2 — and poison its features
   for (std::size_t f = 0; f < kK; ++f) land(0, 2 * kK + f) = 1e9;
-  const Matrix masked_out = pool.forward(land, mask);
+  const Matrix masked_out = pool_forward(pool, land, mask);
 
   // The same data with landmark 2 physically absent.
   Matrix smaller(1, (L - 1) * kK);
@@ -78,7 +79,7 @@ TEST(LandPooling, MaskedLandmarkEqualsPhysicallyRemoved) {
     ++dst;
   }
   const Matrix small_mask(1, L - 1, 1.0);
-  const Matrix removed_out = pool.forward(smaller, small_mask);
+  const Matrix removed_out = pool_forward(pool, smaller, small_mask);
   for (std::size_t c = 0; c < masked_out.cols(); ++c)
     EXPECT_NEAR(masked_out(0, c), removed_out(0, c), 1e-12);
 }
@@ -91,8 +92,8 @@ TEST(LandPooling, ExtendsToMoreLandmarksWithoutRetraining) {
   const Matrix mask7(2, 7, 1.0);
   const Matrix land12 = random_matrix(2, 12 * kK, 6);
   const Matrix mask12(2, 12, 1.0);
-  EXPECT_EQ(pool.forward(land7, mask7).cols(),
-            pool.forward(land12, mask12).cols());
+  EXPECT_EQ(pool_forward(pool, land7, mask7).cols(),
+            pool_forward(pool, land12, mask12).cols());
 }
 
 TEST(LandPooling, SingleLandmarkEdgeCases) {
@@ -101,7 +102,7 @@ TEST(LandPooling, SingleLandmarkEdgeCases) {
                                 PoolOp::Var, PoolOp::P50});
   const Matrix land = random_matrix(1, kK, 7);
   const Matrix mask(1, 1, 1.0);
-  const Matrix out = pool.forward(land, mask);
+  const Matrix out = pool_forward(pool, land, mask);
   for (std::size_t j = 0; j < kFilters; ++j) {
     const double v = out(0, 0 * kFilters + j);
     EXPECT_DOUBLE_EQ(out(0, 1 * kFilters + j), v);   // max == min
@@ -115,7 +116,7 @@ TEST(LandPooling, AllLandmarksMaskedThrows) {
   LandPooling pool = make_pool({PoolOp::Avg});
   const Matrix land = random_matrix(1, 3 * kK, 8);
   const Matrix mask(1, 3, 0.0);
-  EXPECT_THROW(pool.forward(land, mask), std::logic_error);
+  EXPECT_THROW(pool_forward(pool, land, mask), std::logic_error);
 }
 
 TEST(LandPooling, PercentileMatchesUtilPercentile) {
@@ -136,7 +137,7 @@ TEST(LandPooling, PercentileMatchesUtilPercentile) {
     firsts.push_back(land(0, lam * kK));
   }
   const Matrix mask(1, L, 1.0);
-  const Matrix out = pool.forward(land, mask);
+  const Matrix out = pool_forward(pool, land, mask);
   EXPECT_NEAR(out(0, 0), util::percentile(firsts, 0.3), 1e-12);
 }
 
@@ -153,7 +154,7 @@ TEST_P(PoolOpGradient, MatchesFiniteDifferences) {
 
   // Scalar loss: <weights, pooled>.
   const auto loss = [&] {
-    const Matrix out = pool.forward(land, mask);
+    const Matrix out = pool_forward(pool, land, mask);
     double l = 0.0;
     for (std::size_t r = 0; r < out.rows(); ++r)
       for (std::size_t c = 0; c < out.cols(); ++c)
@@ -161,21 +162,24 @@ TEST_P(PoolOpGradient, MatchesFiniteDifferences) {
     return l;
   };
 
-  pool.kernel().zero_grad();
-  pool.bias().zero_grad();
-  pool.forward(land, mask);
-  const Matrix grad_land = pool.backward(weights);
+  // Both backward passes of one forward: parameters and input.
+  LandPooling::PoolContext ctx;
+  Matrix out;
+  pool.forward(land, mask, ctx, out);
+  Matrix kernel_grad(kFilters, kK), bias_grad(1, kFilters), grad_land;
+  pool.backward_params(weights, ctx, kernel_grad, bias_grad);
+  pool.backward_input(weights, ctx, grad_land);
 
   for (std::size_t r = 0; r < pool.kernel().value.rows(); ++r)
     for (std::size_t c = 0; c < pool.kernel().value.cols(); ++c) {
       const double fd =
           finite_difference(loss, pool.kernel().value(r, c), 1e-5);
-      EXPECT_LT(rel_error(fd, pool.kernel().grad(r, c)), 2e-4)
+      EXPECT_LT(rel_error(fd, kernel_grad(r, c)), 2e-4)
           << pool_op_name(GetParam()) << " kernel(" << r << "," << c << ")";
     }
   for (std::size_t c = 0; c < kFilters; ++c) {
     const double fd = finite_difference(loss, pool.bias().value(0, c), 1e-5);
-    const double grad = pool.bias().grad(0, c);
+    const double grad = bias_grad(0, c);
     // The var op's bias gradient is analytically zero (variance is
     // shift-invariant), where the central difference only yields
     // cancellation noise of order eps·|loss|/h ≈ 1e-9; accept agreement at
@@ -206,9 +210,12 @@ TEST(LandPooling, MaskedLandmarkGetsZeroInputGradient) {
   const Matrix land = random_matrix(1, L * kK, 14);
   Matrix mask(1, L, 1.0);
   mask(0, 1) = 0.0;
-  pool.forward(land, mask);
+  LandPooling::PoolContext ctx;
+  Matrix out;
+  pool.forward(land, mask, ctx, out);
   const Matrix grad = random_matrix(1, pool.out_features(), 15);
-  const Matrix grad_land = pool.backward(grad);
+  Matrix grad_land;
+  pool.backward_input(grad, ctx, grad_land);
   for (std::size_t f = 0; f < kK; ++f)
     EXPECT_DOUBLE_EQ(grad_land(0, kK + f), 0.0);
 }

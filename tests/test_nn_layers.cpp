@@ -1,10 +1,9 @@
-// Unit tests for Linear, ReLU and the softmax/cross-entropy losses,
-// including finite-difference gradient checks of every parameter and of
-// the input path (the input gradients feed DiagNet's attention mechanism).
+// Unit tests for Linear and the softmax/cross-entropy losses, including
+// finite-difference gradient checks of every parameter and of the input
+// path (the input gradients feed DiagNet's attention mechanism).
 
 #include <gtest/gtest.h>
 
-#include "nn/activations.h"
 #include "nn/linear.h"
 #include "nn/softmax.h"
 #include "tests/test_helpers.h"
@@ -22,7 +21,8 @@ TEST(Linear, ForwardMatchesManualComputation) {
   Linear layer(2, 2, rng);
   layer.weight().value = Matrix{{1.0, 2.0}, {3.0, 4.0}};
   layer.bias().value = Matrix{{0.5, -0.5}};
-  const Matrix out = layer.forward(Matrix{{1.0, 1.0}});
+  Matrix out;
+  layer.forward_into(Matrix{{1.0, 1.0}}, out);
   EXPECT_DOUBLE_EQ(out(0, 0), 4.5);   // 1*1 + 1*3 + 0.5
   EXPECT_DOUBLE_EQ(out(0, 1), 5.5);   // 1*2 + 1*4 - 0.5
 }
@@ -30,7 +30,8 @@ TEST(Linear, ForwardMatchesManualComputation) {
 TEST(Linear, RejectsWrongInputWidth) {
   util::Rng rng(2);
   Linear layer(3, 2, rng);
-  EXPECT_THROW(layer.forward(Matrix(1, 4)), std::logic_error);
+  Matrix out;
+  EXPECT_THROW(layer.forward_into(Matrix(1, 4), out), std::logic_error);
 }
 
 TEST(Linear, GradientCheckAllPaths) {
@@ -40,8 +41,9 @@ TEST(Linear, GradientCheckAllPaths) {
   const Matrix target = random_matrix(5, 3, 8);
 
   // Scalar loss: 0.5 * ||forward(input) - target||^2.
+  Matrix out;
   const auto loss = [&] {
-    const Matrix out = layer.forward(input);
+    layer.forward_into(input, out);
     double l = 0.0;
     for (std::size_t r = 0; r < out.rows(); ++r)
       for (std::size_t c = 0; c < out.cols(); ++c) {
@@ -51,23 +53,26 @@ TEST(Linear, GradientCheckAllPaths) {
     return l;
   };
 
-  // Analytic gradients.
-  const Matrix out = layer.forward(input);
+  // Analytic gradients: the parameter backward, and the input-only
+  // backward, which must produce the parameter backward's dX bit for bit.
+  layer.forward_into(input, out);
   Matrix grad_out = out;
   grad_out -= target;
-  layer.weight().zero_grad();
-  layer.bias().zero_grad();
-  const Matrix grad_in = layer.backward(grad_out);
+  Matrix grad_w(4, 3), grad_b(1, 3), grad_in, grad_in_only;
+  layer.backward_into(input, grad_out, grad_w, grad_b, &grad_in);
+  layer.backward_input_into(grad_out, grad_in_only);
+  for (std::size_t i = 0; i < grad_in.size(); ++i)
+    EXPECT_EQ(grad_in_only.data()[i], grad_in.data()[i]);
 
   for (std::size_t r = 0; r < layer.weight().value.rows(); ++r)
     for (std::size_t c = 0; c < layer.weight().value.cols(); ++c) {
       const double fd =
           finite_difference(loss, layer.weight().value(r, c));
-      EXPECT_LT(rel_error(fd, layer.weight().grad(r, c)), 1e-5);
+      EXPECT_LT(rel_error(fd, grad_w(r, c)), 1e-5);
     }
   for (std::size_t c = 0; c < layer.bias().value.cols(); ++c) {
     const double fd = finite_difference(loss, layer.bias().value(0, c));
-    EXPECT_LT(rel_error(fd, layer.bias().grad(0, c)), 1e-5);
+    EXPECT_LT(rel_error(fd, grad_b(0, c)), 1e-5);
   }
   for (std::size_t r = 0; r < input.rows(); ++r)
     for (std::size_t c = 0; c < input.cols(); ++c) {
@@ -81,28 +86,11 @@ TEST(Linear, GradientsAccumulateAcrossBackwards) {
   Linear layer(2, 2, rng);
   const Matrix input = random_matrix(3, 2, 9);
   const Matrix grad = random_matrix(3, 2, 10);
-  layer.forward(input);
-  layer.backward(grad);
-  const double once = layer.weight().grad(0, 0);
-  layer.forward(input);
-  layer.backward(grad);
-  EXPECT_NEAR(layer.weight().grad(0, 0), 2.0 * once, 1e-12);
-}
-
-TEST(ReLU, ClampsNegatives) {
-  ReLU relu;
-  const Matrix out = relu.forward(Matrix{{-1.0, 0.0, 2.0}});
-  EXPECT_DOUBLE_EQ(out(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(out(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(out(0, 2), 2.0);
-}
-
-TEST(ReLU, GatesGradient) {
-  ReLU relu;
-  relu.forward(Matrix{{-1.0, 3.0}});
-  const Matrix dx = relu.backward(Matrix{{5.0, 5.0}});
-  EXPECT_DOUBLE_EQ(dx(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(dx(0, 1), 5.0);
+  Matrix grad_w(2, 2), grad_b(1, 2);
+  layer.backward_into(input, grad, grad_w, grad_b, nullptr);
+  const double once = grad_w(0, 0);
+  layer.backward_into(input, grad, grad_w, grad_b, nullptr);
+  EXPECT_NEAR(grad_w(0, 0), 2.0 * once, 1e-12);
 }
 
 TEST(Softmax, RowsSumToOne) {
@@ -158,7 +146,7 @@ TEST(SoftmaxXent, RejectsBadLabel) {
 
 TEST(IdealLabelGrad, IsSoftmaxMinusOnehot) {
   const Matrix logits{{1.0, 2.0, 0.5}};
-  const Matrix g = ideal_label_grad(logits, 1);
+  const Matrix g = ideal_label_grads(logits, {1});
   const Matrix probs = softmax(logits);
   EXPECT_NEAR(g(0, 0), probs(0, 0), 1e-12);
   EXPECT_NEAR(g(0, 1), probs(0, 1) - 1.0, 1e-12);

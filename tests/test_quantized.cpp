@@ -142,10 +142,10 @@ TEST(Quantized, CoarseNetQuantizedForwardStaysClose) {
   CoarseNet net(tiny_config(), rng);
   const LandBatch batch = tiny_batch(4, 6, 11);
 
-  const Matrix fp = net.forward(batch);
+  const Matrix fp = test::logits(net, batch);
   net.set_quantized(true);
   EXPECT_TRUE(net.quantized());
-  const Matrix quant = net.forward(batch);
+  const Matrix quant = test::logits(net, batch);
   ASSERT_EQ(quant.rows(), fp.rows());
   ASSERT_EQ(quant.cols(), fp.cols());
   // Per-channel int8 over narrow layers: logits stay close in absolute
@@ -158,8 +158,8 @@ TEST(Quantized, CoarseNetQuantizedForwardStaysClose) {
   // Disabling restores the (snapped) fp path exactly and reproducibly.
   net.set_quantized(false);
   EXPECT_FALSE(net.quantized());
-  const Matrix snapped1 = net.forward(batch);
-  const Matrix snapped2 = net.forward(batch);
+  const Matrix snapped1 = test::logits(net, batch);
+  const Matrix snapped2 = test::logits(net, batch);
   for (std::size_t i = 0; i < fp.rows(); ++i)
     for (std::size_t j = 0; j < fp.cols(); ++j)
       EXPECT_EQ(snapped1(i, j), snapped2(i, j));

@@ -123,6 +123,36 @@ TEST(ReactorSim, MalformedLineAnswersErrorAndKeepsConnection) {
   EXPECT_EQ(stats.errors(), 0u) << "client mistakes are not reactor errors";
 }
 
+TEST(ReactorSim, QueueRejectionsAreNotProtocolErrors) {
+  ReactorSimOptions options;
+  options.queue_capacity = 2;
+  options.max_delay_us = 10'000'000;  // the dispatcher parks: queue fills
+  ReactorSim sim(options);
+  SimConn conn = sim.connect();
+
+  constexpr std::uint64_t kRequests = 8;
+  std::string burst;
+  for (std::uint64_t id = 1; id <= kRequests; ++id)
+    burst += sim.request_line(id, id) + "\n";
+  ASSERT_TRUE(conn.send(burst));
+  for (int i = 0; i < 100 && sim.stats().requests < kRequests; ++i)
+    sim.pump(50);
+  ASSERT_EQ(sim.stats().requests, kRequests);
+  sim.service().stop();  // releases the two queued requests
+
+  std::size_t exhausted = 0;
+  for (std::uint64_t id = 1; id <= kRequests; ++id) {
+    std::string line;
+    ASSERT_TRUE(sim.wait_line(conn, &line)) << "response " << id;
+    if (line.find("resource_exhausted") != std::string::npos) ++exhausted;
+  }
+  EXPECT_EQ(exhausted, kRequests - 2);
+  EXPECT_EQ(sim.service().stats().rejected, kRequests - 2);
+  // Well-formed lines the service refused are counted there, not as
+  // client protocol mistakes.
+  EXPECT_EQ(sim.stats().protocol_errors, 0u);
+}
+
 TEST(ReactorSim, InBandStatszAnswersViaHooks) {
   ReactorSim sim;
   sim.statsz_payload = "{\"answered\":\"in-band\"}";

@@ -444,30 +444,31 @@ TEST(Wire, FormatErrorCarriesStatusCodeName) {
 // ---------------------------------------------------------------------------
 // Stdio session end-to-end
 
+/// One wire request line for test sample `test_index`.
+std::string request_line(std::size_t id, std::size_t test_index) {
+  const data::Sample& sample = pipeline().split().test.samples[test_index];
+  std::ostringstream line;
+  line.precision(17);
+  line << "{\"id\":" << id << ",\"service\":" << sample.service
+       << ",\"features\":[";
+  for (std::size_t f = 0; f < sample.features.size(); ++f) {
+    if (f > 0) line << ',';
+    line << sample.features[f];
+  }
+  line << "]}";
+  return line.str();
+}
+
 TEST(Server, StdioSessionAnswersInSubmissionOrder) {
   auto& p = pipeline();
   const std::vector<std::size_t> indices = p.faulty_test_indices();
 
-  auto make_line = [&](std::size_t id, std::size_t test_index) {
-    const data::Sample& sample = p.split().test.samples[test_index];
-    std::ostringstream line;
-    line.precision(17);
-    line << "{\"id\":" << id << ",\"service\":" << sample.service
-         << ",\"features\":[";
-    for (std::size_t f = 0; f < sample.features.size(); ++f) {
-      if (f > 0) line << ',';
-      line << sample.features[f];
-    }
-    line << "]}";
-    return line.str();
-  };
-
   std::stringstream in;
-  in << make_line(1, indices[0]) << '\n';
+  in << request_line(1, indices[0]) << '\n';
   in << '\n';  // blank lines are skipped
   in << "this is not json\n";
   in << "{\"id\":3,\"features\":[1,2,3]}\n";  // wrong feature count
-  in << make_line(4, indices[1]) << '\n';
+  in << request_line(4, indices[1]) << '\n';
 
   auto provider = std::make_shared<serve::ModelProvider>(pipeline_model());
   serve::DiagnosisService service(provider);
@@ -501,6 +502,35 @@ TEST(Server, StdioSessionAnswersInSubmissionOrder) {
   const std::string expected_prefix =
       expected.substr(0, expected.find(",\"latency_ms\""));
   EXPECT_EQ(lines[0].substr(0, expected_prefix.size()), expected_prefix);
+}
+
+TEST(Server, StdioSessionWaitsInsteadOfOverflowingTheQueue) {
+  auto& p = pipeline();
+  const std::vector<std::size_t> indices = p.faulty_test_indices();
+
+  // A pipe client cannot retry, so a session 10x deeper than the queue
+  // must be answered in full: the reader waits for room, never rejects.
+  auto provider = std::make_shared<serve::ModelProvider>(pipeline_model());
+  serve::ServiceConfig config;
+  config.queue_capacity = 4;
+  serve::DiagnosisService service(provider, config);
+  constexpr std::size_t kRequests = 40;
+  std::stringstream in;
+  for (std::size_t i = 0; i < kRequests; ++i)
+    in << request_line(i + 1, indices[i % indices.size()]) << '\n';
+  std::stringstream out;
+  const serve::SessionStats stats =
+      serve::run_session(service, p.feature_space(), in, out, 5);
+  service.stop();
+
+  EXPECT_EQ(stats.requests, kRequests);
+  EXPECT_EQ(stats.responses, kRequests);
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(service.stats().rejected, 0u);
+  std::size_t ok_lines = 0;
+  for (std::string line; std::getline(out, line);)
+    if (line.find("\"ok\":true") != std::string::npos) ++ok_lines;
+  EXPECT_EQ(ok_lines, kRequests);
 }
 
 // ---------------------------------------------------------------------------

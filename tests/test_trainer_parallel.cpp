@@ -1,8 +1,8 @@
 // Regression tests for the data-parallel training engine: training must be
 // BIT-identical for every TrainerConfig::threads value (the shard partition
 // and reduction order are fixed, so the worker count can only change which
-// thread runs which shard), and the workspace forward/backward paths must
-// agree with the legacy layer-cache paths.
+// thread runs which shard), and gathering into reused buffers must match
+// the allocating gather.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "nn/coarse_net.h"
-#include "nn/softmax.h"
 #include "nn/trainer.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
@@ -103,65 +102,6 @@ TEST(TrainerParallel, BitIdenticalAcrossThreadCounts) {
     }
     EXPECT_TRUE(bits_equal(params, ref_params))
         << "serialized model differs at threads=" << threads;
-  }
-}
-
-TEST(TrainerParallel, WorkspaceForwardMatchesLegacyForward) {
-  const CoarseDataset data = synthetic_dataset(50, 81);
-  util::Rng rng(82);
-  CoarseNet net(synthetic_net_config(), rng);
-
-  std::vector<std::size_t> rows(data.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
-  const LandBatch batch = data.gather(rows);
-
-  const Matrix legacy = net.forward(batch);
-  CoarseWorkspace ws;
-  net.init_workspace(ws);
-  const Matrix& logits = net.forward(batch, ws);
-
-  ASSERT_TRUE(legacy.same_shape(logits));
-  for (std::size_t r = 0; r < legacy.rows(); ++r)
-    for (std::size_t c = 0; c < legacy.cols(); ++c)
-      EXPECT_DOUBLE_EQ(legacy(r, c), logits(r, c))
-          << "logit (" << r << ", " << c << ")";
-}
-
-TEST(TrainerParallel, WorkspaceBackwardMatchesLegacyGradients) {
-  const CoarseDataset data = synthetic_dataset(40, 91);
-  util::Rng rng(92);
-  CoarseNet net(synthetic_net_config(), rng);
-
-  std::vector<std::size_t> rows(data.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
-  const LandBatch batch = data.gather(rows);
-  const std::vector<std::size_t> labels = data.gather_labels(rows);
-
-  // Legacy path: layer caches + parameter grads on the net.
-  net.zero_grad();
-  const Matrix legacy_logits = net.forward(batch);
-  Matrix legacy_grad;
-  softmax_cross_entropy(legacy_logits, labels, &legacy_grad);
-  net.backward(legacy_grad, nullptr, nullptr);
-
-  // Workspace path with the same dLoss/dLogits scaling (mean over rows).
-  CoarseWorkspace ws;
-  net.init_workspace(ws);
-  net.forward(batch, ws);
-  softmax_cross_entropy_sum(ws.logits, labels.data(), labels.size(),
-                            &ws.grad_logits,
-                            1.0 / static_cast<double>(labels.size()));
-  ws.zero_param_grads();
-  net.backward(ws.grad_logits, ws);
-
-  const std::vector<Parameter*> params = net.parameters();
-  ASSERT_EQ(params.size(), ws.param_grads.size());
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    ASSERT_TRUE(params[p]->grad.same_shape(ws.param_grads[p]));
-    for (std::size_t r = 0; r < params[p]->grad.rows(); ++r)
-      for (std::size_t c = 0; c < params[p]->grad.cols(); ++c)
-        EXPECT_NEAR(params[p]->grad(r, c), ws.param_grads[p](r, c), 1e-12)
-            << "param " << p << " grad (" << r << ", " << c << ")";
   }
 }
 

@@ -89,7 +89,7 @@ using namespace diagnet;
 /// flags and removed from the argument list):
 ///   --trace <file>      write a Perfetto/chrome://tracing JSON trace
 ///   --metrics <file>    write the metrics registry as JSON
-///   --telemetry         print the telemetry summary table on exit
+///   --telemetry         print the telemetry summary table to stderr on exit
 /// DIAGNET_TRACE / DIAGNET_METRICS / DIAGNET_TELEMETRY env vars are
 /// honoured too; explicit flags win.
 std::vector<std::string> setup_telemetry(int argc, char** argv) {
