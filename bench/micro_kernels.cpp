@@ -19,7 +19,6 @@
 
 #include "core/batch_diagnoser.h"
 #include "core/diagnet.h"
-#include "eval/metrics.h"
 #include "eval/pipeline.h"
 #include "serve/service.h"
 #include "obs/obs.h"
@@ -534,42 +533,6 @@ void write_speedup_report(std::chrono::steady_clock::time_point start) {
   }
   routed_json += '}';
 
-  // Quantized path LAST: set_quantized snaps the fp32 weights to the int8
-  // grid (lossy), so no fp32 measurement may run after this point. The
-  // recall@1 delta over the pipeline's faulty test samples is the
-  // acceptance gate for serving --quantize: fp32 - quantized <= 0.005.
-  const auto recall_at1 = [&] {
-    const auto faulty = pipeline.faulty_test_indices();
-    const auto& test = pipeline.split().test.samples;
-    std::vector<core::DiagnoseRequest> eval_requests;
-    std::vector<std::size_t> truths;
-    eval_requests.reserve(faulty.size());
-    for (const std::size_t idx : faulty) {
-      core::DiagnoseRequest request;
-      request.features = test[idx].features;
-      request.service = test[idx].service;
-      eval_requests.push_back(std::move(request));
-      truths.push_back(test[idx].primary_cause);
-    }
-    const auto responses = batcher.run(eval_requests);
-    std::vector<std::vector<std::size_t>> rankings;
-    rankings.reserve(responses.size());
-    for (const auto& response : responses)
-      rankings.push_back(response.diagnosis.ranking);
-    return eval::recall_at_k(rankings, truths, 1);
-  };
-  const double fp32_recall1 = recall_at1();
-  model.set_quantized(true);
-  const double quantized_recall1 = recall_at1();
-  const double quantized_infer_rps = infer_rps();
-  const double quantized_recall_delta = fp32_recall1 - quantized_recall1;
-  model.set_quantized(false);  // weights stay snapped; codes dropped
-  std::printf(
-      "quantized int8 FC: recall@1 %.3f vs fp32 %.3f (delta %+.4f), "
-      "single-infer %.1f /s\n",
-      quantized_recall1, fp32_recall1, quantized_recall_delta,
-      quantized_infer_rps);
-
   const double wall_seconds =
       std::chrono::duration<double>(clock::now() - start).count();
   const char* out_dir = std::getenv("DIAGNET_BENCH_OUT");
@@ -618,11 +581,6 @@ void write_speedup_report(std::chrono::steady_clock::time_point start) {
       << "  \"simd_single_speedup\": " << avx2_field(simd_single_speedup)
       << ",\n"
       << "  \"routed_rps_by_service\": " << routed_json << ",\n"
-      << "  \"fp32_recall_at1\": " << fp32_recall1 << ",\n"
-      << "  \"quantized_recall_at1\": " << quantized_recall1 << ",\n"
-      << "  \"quantized_recall_delta\": " << quantized_recall_delta << ",\n"
-      << "  \"quantized_single_infer_rps\": " << quantized_infer_rps
-      << ",\n"
       << "  \"train_epoch_1t_seconds\": " << epoch_1t << ",\n"
       << "  \"train_epoch_4t_seconds\": " << epoch_4t << ",\n"
       << "  \"train_speedup_4t\": ";

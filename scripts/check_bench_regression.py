@@ -8,9 +8,8 @@ Usage: check_bench_regression.py NEW.json [BASELINE.json]
            [--min-clients-per-s X] [--max-peak-rss-mib Y]
 
 Default mode fails (exit 1) when a throughput/speedup key regressed by more
-than --threshold (default 20%), a timing key grew by more than the same
-factor, or the int8 accuracy gate (quantized_recall_delta <= 0.005) is
-violated.
+than --threshold (default 20%), or a timing key grew by more than the same
+factor.
 
 Skips cleanly (exit 0 with a message) when the two reports were measured
 on different hardware or build types — cross-machine numbers are not
@@ -50,7 +49,6 @@ HIGHER_BETTER = [
     "single_infer_rps_scalar",
     "single_infer_rps_simd",
     "simd_single_speedup",
-    "quantized_single_infer_rps",
     "train_speedup_4t",
 ]
 
@@ -65,8 +63,6 @@ LOWER_BETTER = [
 
 # The measurement context that must match for numbers to be comparable.
 HARDWARE_KEYS = ["hardware_threads", "cpu_features", "kernel_tier"]
-
-QUANTIZED_RECALL_GATE = 0.005
 
 
 def load(path):
@@ -287,15 +283,6 @@ def main():
             failures.append(
                 f"{key}: {new_v:.4g} vs baseline {old_v:.4g} "
                 f"({new_v / old_v - 1.0:+.1%})"
-            )
-
-    delta = new.get("quantized_recall_delta")
-    if isinstance(delta, (int, float)):
-        compared += 1
-        if delta > QUANTIZED_RECALL_GATE:
-            failures.append(
-                f"quantized_recall_delta: {delta:.4f} exceeds the "
-                f"{QUANTIZED_RECALL_GATE} accuracy gate"
             )
 
     if failures:

@@ -139,14 +139,6 @@ void CoarseNet::backward_input(const Matrix& grad_logits,
   pool_.backward_input(ws.grad_pooled, ws.pool, ws.grad_land);
 }
 
-void CoarseNet::set_quantized(bool on) {
-  for (Linear& layer : fc_) layer.set_quantized(on);
-}
-
-bool CoarseNet::quantized() const {
-  return !fc_.empty() && fc_.front().quantized();
-}
-
 bool CoarseNet::shares_pooling_with(const CoarseNet& other) const {
   return local_offset_ == other.local_offset_ &&
          pool_.same_parameters(other.pool_);

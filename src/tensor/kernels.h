@@ -12,12 +12,9 @@
 //    tier keeps it by being the only implementation both paths compile to.
 //  * reduce_* and dot fix their own lane-combination order, so the same
 //    input always yields the same bits on the same tier.
-// Integer kernels (quantize_row, qgemv) are exact and therefore produce
-// identical results on every tier.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace diagnet::tensor::detail {
 
@@ -44,18 +41,8 @@ struct Kernels {
   double (*reduce_sq_dev)(const double* v, std::size_t n, double mean);
   /// max_j v[j]; -inf when n == 0
   double (*reduce_max)(const double* v, std::size_t n);
-  /// max_j |v[j]|; 0 when n == 0
-  double (*reduce_absmax)(const double* v, std::size_t n);
   /// v[j] /= denom
   void (*scale_div)(double* v, double denom, std::size_t n);
-
-  // ---- int8 quantized path (exact integer math, tier-invariant) ----
-  /// q[j] = clamp(round(x[j] * inv_scale), -127, 127)
-  void (*quantize_row)(const double* x, double inv_scale, std::int8_t* q,
-                       std::size_t n);
-  /// acc[j] += sum_i qx[i] * w[i*out + j]   (acc is caller-zeroed int32)
-  void (*qgemv)(const std::int8_t* qx, const std::int8_t* w,
-                std::size_t in, std::size_t out, std::int32_t* acc);
 };
 
 /// The portable tier (plain loops + `#pragma omp simd`, whatever the
@@ -68,11 +55,5 @@ const Kernels* avx2_kernels();
 
 /// The table selected by tensor::dispatch (cheap relaxed atomic load).
 const Kernels& active_kernels();
-
-/// Scalar quantize_row, shared verbatim by every tier: double→int8
-/// rounding must be tier-invariant so a quantized model scores the same
-/// bits whichever tier served it.
-void kernel_quantize_row(const double* x, double inv_scale, std::int8_t* q,
-                         std::size_t n);
 
 }  // namespace diagnet::tensor::detail

@@ -184,23 +184,6 @@ DIAGNET_AVX2 double avx2_reduce_max(const double* v, std::size_t n) {
   return m;
 }
 
-DIAGNET_AVX2 double avx2_reduce_absmax(const double* v, std::size_t n) {
-  if (n < kSmallReduce) {
-    double m = 0.0;
-    for (std::size_t j = 0; j < n; ++j) m = std::max(m, std::fabs(v[j]));
-    return m;
-  }
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4)
-    acc = _mm256_max_pd(acc,
-                        _mm256_andnot_pd(sign_mask, _mm256_loadu_pd(v + j)));
-  double m = hmax(acc);
-  for (; j < n; ++j) m = std::max(m, std::fabs(v[j]));
-  return std::max(m, 0.0);
-}
-
 DIAGNET_AVX2 void avx2_scale_div(double* v, double denom, std::size_t n) {
   const __m256d vd = _mm256_set1_pd(denom);
   std::size_t j = 0;
@@ -209,43 +192,13 @@ DIAGNET_AVX2 void avx2_scale_div(double* v, double denom, std::size_t n) {
   for (; j < n; ++j) v[j] /= denom;
 }
 
-/// Output-blocked int8 GEMV: eight int32 accumulators stay in a register
-/// across the whole input dimension. Products fit int32 comfortably
-/// (|q| <= 127, in <= a few thousand => |acc| <= 127*127*in < 2^31).
-DIAGNET_AVX2 void avx2_qgemv(const std::int8_t* qx, const std::int8_t* w,
-                             std::size_t in, std::size_t out,
-                             std::int32_t* acc) {
-  std::size_t j0 = 0;
-  for (; j0 + 8 <= out; j0 += 8) {
-    __m256i vacc = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(acc + j0));
-    for (std::size_t i = 0; i < in; ++i) {
-      const std::int32_t xi = qx[i];
-      if (xi == 0) continue;
-      const __m128i w8 = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(w + i * out + j0));
-      const __m256i w32 = _mm256_cvtepi8_epi32(w8);
-      vacc = _mm256_add_epi32(
-          vacc, _mm256_mullo_epi32(w32, _mm256_set1_epi32(xi)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + j0), vacc);
-  }
-  for (; j0 < out; ++j0) {
-    std::int32_t s = acc[j0];
-    for (std::size_t i = 0; i < in; ++i)
-      s += static_cast<std::int32_t>(qx[i]) * w[i * out + j0];
-    acc[j0] = s;
-  }
-}
-
 }  // namespace
 
 const Kernels* avx2_kernels() {
   static const Kernels table = {
       "avx2",          avx2_axpy4,      avx2_axpy1,
       avx2_gemv,       avx2_dot,        avx2_reduce_sum,
-      avx2_reduce_sq_dev, avx2_reduce_max, avx2_reduce_absmax,
-      avx2_scale_div,  kernel_quantize_row, avx2_qgemv,
+      avx2_reduce_sq_dev, avx2_reduce_max, avx2_scale_div,
   };
   return &table;
 }

@@ -81,14 +81,6 @@ TEST(Attention, MaskedLandmarkGetsZeroAttention) {
   }
 }
 
-TEST(Attention, DoesNotLeakParameterGradients) {
-  CoreFixture fixture;
-  compute_attention(*fixture.net, fixture.sample(3), fixture.fs);
-  for (nn::Parameter* param : fixture.net->parameters())
-    for (std::size_t i = 0; i < param->grad.size(); ++i)
-      EXPECT_DOUBLE_EQ(param->grad.data()[i], 0.0);
-}
-
 TEST(Attention, RejectsBatches) {
   CoreFixture fixture;
   nn::LandBatch batch = fixture.sample(4);
