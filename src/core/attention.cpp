@@ -75,32 +75,59 @@ void set_coarse(AttentionResult& result, const nn::Matrix& probs,
 
 }  // namespace
 
-std::vector<AttentionResult> compute_attention_batch(
-    const nn::CoarseNet& net, const nn::LandBatch& batch,
-    const data::FeatureSpace& fs) {
+std::vector<AttentionResult> compute_attention_heads(
+    const nn::CoarseNet& trunk, const std::vector<HeadRows>& heads,
+    const nn::LandBatch& batch, const data::FeatureSpace& fs) {
   const std::size_t n = batch.size();
   std::vector<AttentionResult> results(n);
   if (n == 0) return results;
 
-  // One batched forward pass; softmax/argmax are strictly row-wise.
+  // One trunk forward over every row.
   nn::CoarseWorkspace ws;
-  const nn::Matrix& logits = net.forward(batch, ws);
-  const nn::Matrix probs = nn::softmax(logits);
-  std::vector<std::size_t> argmaxes(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    set_coarse(results[r], probs, r);
-    argmaxes[r] = results[r].coarse_argmax;
+  const nn::Matrix& features = trunk.forward_trunk(batch, ws);
+  nn::Matrix grad_features(n, features.cols());
+  nn::Matrix rows;
+
+  std::size_t next = 0;  // `heads` must partition [0, n) in order
+  for (const HeadRows& part : heads) {
+    DIAGNET_REQUIRE(part.begin == next && part.begin < part.end);
+    next = part.end;
+    const std::size_t m = part.end - part.begin;
+    rows.resize(m, features.cols());
+    std::copy(features.row_ptr(part.begin), features.row_ptr(part.end),
+              rows.data());
+
+    // This head's forward; softmax/argmax are strictly row-wise.
+    const nn::Matrix& logits = part.head->forward(rows, ws);
+    const nn::Matrix probs = nn::softmax(logits);
+    std::vector<std::size_t> argmaxes(m);
+    for (std::size_t s = 0; s < m; ++s) {
+      set_coarse(results[part.begin + s], probs, s);
+      argmaxes[s] = results[part.begin + s].coarse_argmax;
+    }
+
+    // Backpropagate the ideal-label loss through the head, input gradients
+    // only — attention never consumes parameter gradients.
+    const nn::Matrix& grad =
+        part.head->backward(rows, nn::ideal_label_grads(logits, argmaxes), ws);
+    std::copy(grad.data(), grad.data() + grad.size(),
+              grad_features.row_ptr(part.begin));
   }
+  DIAGNET_REQUIRE(next == n);
 
-  // One backpropagation step of the ideal-label loss, down to the inputs.
-  // The input-only backward skips every parameter-gradient GEMM and the
-  // pooling kernel gradients — attention never consumes them.
-  net.backward_input(nn::ideal_label_grads(logits, argmaxes), ws);
-
-  // Map (land, local) gradients back to the m-dimensional feature space.
+  // One trunk backward over every row, down to the inputs, then map the
+  // (land, local) gradients back to the m-dimensional feature space.
+  trunk.backward_trunk(grad_features, ws);
   for (std::size_t r = 0; r < n; ++r)
     gamma_from_grads(results[r], ws.grad_land, ws.grad_local, r, batch, fs);
   return results;
+}
+
+std::vector<AttentionResult> compute_attention_batch(
+    const nn::CoarseNet& net, const nn::LandBatch& batch,
+    const data::FeatureSpace& fs) {
+  return compute_attention_heads(net, {{&net.head(), 0, batch.size()}},
+                                 batch, fs);
 }
 
 AttentionResult compute_attention(const nn::CoarseNet& net,
@@ -110,82 +137,14 @@ AttentionResult compute_attention(const nn::CoarseNet& net,
   return std::move(compute_attention_batch(net, sample, fs).front());
 }
 
-std::vector<AttentionResult> compute_attention_shared_pooling(
-    const std::vector<PooledGroup>& groups, const nn::LandBatch& batch,
-    const data::FeatureSpace& fs) {
-  const std::size_t n = batch.size();
-  std::vector<AttentionResult> results(n);
-  if (n == 0 || groups.empty()) return results;
-
-  // One pooling forward over the union batch, through the first head's
-  // (shared) LandPooling. The heads' FC passes reuse the same workspace:
-  // they never touch its pooling context.
-  const nn::CoarseNet& pool_net = *groups.front().net;
-  nn::CoarseWorkspace ws;
-  pool_net.pooling().forward(batch.land, batch.mask, ws.pool, ws.pooled);
-  const nn::Matrix& pooled = ws.pooled;
-
-  nn::Matrix union_grad_pooled(n, pooled.cols());
-  nn::Matrix union_grad_local(n, batch.local.cols());
-  nn::Matrix sub_pooled, sub_local;
-
-  for (const PooledGroup& grp : groups) {
-    const nn::CoarseNet& net = *grp.net;
-    DIAGNET_REQUIRE_MSG(net.shares_pooling_with(pool_net),
-                        "shared-pooling group with divergent pooling");
-    const std::size_t m = grp.rows.size();
-    if (m == 0) continue;
-
-    // Gather this head's pooled/local rows out of the union.
-    sub_pooled.resize(m, pooled.cols());
-    sub_local.resize(m, batch.local.cols());
-    for (std::size_t s = 0; s < m; ++s) {
-      const std::size_t r = grp.rows[s];
-      DIAGNET_REQUIRE(r < n);
-      std::copy(pooled.row_ptr(r), pooled.row_ptr(r) + pooled.cols(),
-                sub_pooled.row_ptr(s));
-      std::copy(batch.local.row_ptr(r),
-                batch.local.row_ptr(r) + batch.local.cols(),
-                sub_local.row_ptr(s));
-    }
-
-    const nn::Matrix& logits = net.forward_fc(sub_pooled, sub_local, ws);
-    const nn::Matrix probs = nn::softmax(logits);
-    std::vector<std::size_t> argmaxes(m);
-    for (std::size_t s = 0; s < m; ++s) {
-      set_coarse(results[grp.rows[s]], probs, s);
-      argmaxes[s] = results[grp.rows[s]].coarse_argmax;
-    }
-
-    // FC-only input backward, then scatter this head's gradients back into
-    // the union-row positions.
-    net.backward_input_fc(nn::ideal_label_grads(logits, argmaxes), ws);
-    for (std::size_t s = 0; s < m; ++s) {
-      const std::size_t r = grp.rows[s];
-      std::copy(ws.grad_pooled.row_ptr(s),
-                ws.grad_pooled.row_ptr(s) + ws.grad_pooled.cols(),
-                union_grad_pooled.row_ptr(r));
-      std::copy(ws.grad_local.row_ptr(s),
-                ws.grad_local.row_ptr(s) + ws.grad_local.cols(),
-                union_grad_local.row_ptr(r));
-    }
-  }
-
-  // One pooling backward over the union.
-  pool_net.pooling().backward_input(union_grad_pooled, ws.pool, ws.grad_land);
-  for (std::size_t r = 0; r < n; ++r)
-    gamma_from_grads(results[r], ws.grad_land, union_grad_local, r, batch, fs);
-  return results;
-}
-
-AttentionResult compute_occlusion_attention(const nn::CoarseNet& net,
-                                            const nn::LandBatch& sample,
-                                            const data::FeatureSpace& fs) {
+AttentionResult compute_occlusion_attention(
+    const nn::CoarseNet& net, const nn::LandBatch& sample,
+    const data::FeatureSpace& fs, const nn::CoarseHead* head) {
   DIAGNET_REQUIRE_MSG(sample.size() == 1, "attention works on one sample");
 
   nn::CoarseWorkspace ws;
   AttentionResult result;
-  set_coarse(result, nn::softmax(net.forward(sample, ws)), 0);
+  set_coarse(result, nn::softmax(net.forward(sample, ws, head)), 0);
   const double base = result.coarse_probs[result.coarse_argmax];
 
   // Occlude each feature in turn. Normalised features have mean ~0 per
@@ -195,7 +154,7 @@ AttentionResult compute_occlusion_attention(const nn::CoarseNet& net,
   double sum = 0.0;
   nn::LandBatch probe = sample;
   const auto drop_for = [&]() {
-    const nn::Matrix probs = nn::softmax(net.forward(probe, ws));
+    const nn::Matrix probs = nn::softmax(net.forward(probe, ws, head));
     return std::max(0.0, base - probs(0, result.coarse_argmax));
   };
   for (std::size_t lam = 0; lam < fs.landmark_count(); ++lam) {

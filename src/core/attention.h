@@ -5,6 +5,12 @@
 // usefulness as its normalised absolute partial derivative (Eq. 1):
 //
 //   γ̂_j = |∂L*/∂x_j| / Σ_k |∂L*/∂x_k|
+//
+// A specialised model is a head on the general network's frozen trunk
+// (nn/coarse_net.h), so there is one gradient path for one or many heads:
+// compute_attention_heads() runs the trunk once over a batch whose rows
+// belong to several heads, and compute_attention_batch() is its one-head
+// case.
 #pragma once
 
 #include <cstddef>
@@ -22,13 +28,29 @@ struct AttentionResult {
   std::vector<double> gamma;
 };
 
-/// Gradient attention for a batch: one forward + one input-gradient
-/// backward pass over all rows (no parameter gradient is touched). The
+/// One head's rows of a batch: rows [begin, end) run through `head`.
+struct HeadRows {
+  const nn::CoarseHead* head = nullptr;
+  std::size_t begin = 0, end = 0;
+};
+
+/// Gradient attention for a batch whose rows are scored by one or more
+/// heads on `trunk`'s trunk (each a head fine-tuned on it, or the net's own
+/// head()): one forward + one input-gradient backward pass, no parameter
+/// gradient touched. The trunk — LandPooling and the frozen hidden layers —
+/// runs forward and backward ONCE over all rows; only the head layers fan
+/// out per entry of `heads`, which must partition [0, batch.size()). The
 /// network is shared read-only — every intermediate lives in a workspace
-/// local to the call — so any number of threads may run this against one
-/// net at once. Result r is bit-identical to the call on row r alone:
-/// every per-row computation (GEMM accumulation order, pooling, softmax) is
-/// independent of the other rows.
+/// local to the call — so any number of threads may run this at once.
+/// Result r is bit-identical to the call on row r alone with its own head:
+/// every per-row computation (GEMM accumulation order, pooling, softmax)
+/// is independent of the other rows and of the batch size.
+std::vector<AttentionResult> compute_attention_heads(
+    const nn::CoarseNet& trunk, const std::vector<HeadRows>& heads,
+    const nn::LandBatch& batch, const data::FeatureSpace& fs);
+
+/// The one-head case of compute_attention_heads(): every row through
+/// `net`'s own head.
 std::vector<AttentionResult> compute_attention_batch(
     const nn::CoarseNet& net, const nn::LandBatch& batch,
     const data::FeatureSpace& fs);
@@ -39,35 +61,16 @@ AttentionResult compute_attention(const nn::CoarseNet& net,
                                   const nn::LandBatch& sample,
                                   const data::FeatureSpace& fs);
 
-/// One specialized head's slice of a shared-pooling union batch: which
-/// union-batch rows this net scores.
-struct PooledGroup {
-  const nn::CoarseNet* net = nullptr;
-  std::vector<std::size_t> rows;
-};
-
-/// Gradient attention for a union batch scored by several specialized heads
-/// that share one frozen LandPooling (groups[i].net must satisfy
-/// shares_pooling_with(groups[0].net); the caller checks before grouping).
-/// The pooling forward and backward each run ONCE over the whole union —
-/// the FC stacks fan out per head — which is the perf point of frozen-kernel
-/// specialization. Result r is bit-identical to compute_attention_batch()
-/// with row r's own net: pooling, softmax and every kernel row-group are
-/// per-row independent and batch-size invariant. groups must partition
-/// [0, batch.size()).
-std::vector<AttentionResult> compute_attention_shared_pooling(
-    const std::vector<PooledGroup>& groups, const nn::LandBatch& batch,
-    const data::FeatureSpace& fs);
-
 /// Black-box alternative (the paper cites LIME-style model-agnostic
 /// explainers as the generic option before choosing gradients, §III-E):
 /// occlude one feature at a time — replace its normalised value with 0,
 /// the training mean of its metric kind — and read the feature's usefulness
 /// as the drop in the winning class probability. Costs m forward passes
 /// instead of one backward pass; compared against the gradient method in
-/// bench/ablation_attention.
-AttentionResult compute_occlusion_attention(const nn::CoarseNet& net,
-                                            const nn::LandBatch& sample,
-                                            const data::FeatureSpace& fs);
+/// bench/ablation_attention. `head` selects a head fine-tuned on `net`'s
+/// trunk instead of its own.
+AttentionResult compute_occlusion_attention(
+    const nn::CoarseNet& net, const nn::LandBatch& sample,
+    const data::FeatureSpace& fs, const nn::CoarseHead* head = nullptr);
 
 }  // namespace diagnet::core

@@ -3,20 +3,17 @@
 // Algorithm 1 score weighting, extensible-forest scoring, ensemble
 // blending — vectorised over N samples.
 //
-// Requests are grouped by landmark mask, then by serving network — a
-// service's specialised model when one exists, the general model otherwise.
-// Each group is cut into batches of `batch_size` rows, and batches are
-// processed in parallel on a thread pool, all against the one shared,
-// immutable model: each batch keeps its activations in its own workspace,
-// so no network is copied. Inside a batch the coarse network runs ONE
-// forward pass and ONE input-only backward pass for all rows (see
-// CoarseNet::backward_input); everything downstream of the attention step
-// is per-row. When the networks within a mask group share bit-identical
-// frozen LandPooling parameters (per-service heads fine-tuned with
-// --freeze-kernel), their requests share union batches: the pooling stage —
-// forward and backward — runs once per batch for ALL services and only the
-// cheap FC stacks fan out per head (core/attention.h,
-// compute_attention_shared_pooling).
+// A model is one trunk (LandPooling + the frozen first hidden layer) with a
+// general head and one head per specialised service. Requests are grouped
+// by landmark mask, then by head — the service's specialised head when one
+// exists, the general head otherwise. Each mask group is cut into chunks of
+// `batch_size` rows across its heads, and chunks are processed in parallel
+// on a thread pool, all against the one shared, immutable model: each chunk
+// keeps its activations in its own workspace, so no network is copied.
+// Inside a chunk the trunk runs ONE forward and ONE input-only backward
+// pass for all rows, and only the head layers fan out per head
+// (core/attention.h, compute_attention_heads); everything downstream of the
+// attention step is per-row.
 //
 // Exactness contract: run(requests)[i].diagnosis is bit-identical to
 // model.diagnose(requests[i]).diagnosis — every per-row computation (GEMM

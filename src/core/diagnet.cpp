@@ -99,7 +99,8 @@ nn::TrainingHistory DiagNetModel::specialize(std::size_t service,
   trainer.seed = config_.seed ^ (0x5e77ULL + service);
   nn::TrainingHistory history = train_coarse(*net, coarse, trainer);
 
-  specialized_[service] = std::move(net);
+  // The trunk stayed frozen: keep only the head.
+  specialized_.insert_or_assign(service, net->head());
   return history;
 }
 
@@ -110,7 +111,7 @@ bool DiagNetModel::has_specialized(std::size_t service) const {
 std::vector<std::size_t> DiagNetModel::specialized_services() const {
   std::vector<std::size_t> out;
   out.reserve(specialized_.size());
-  for (const auto& [service, net] : specialized_) out.push_back(service);
+  for (const auto& [service, head] : specialized_) out.push_back(service);
   return out;
 }
 
@@ -128,12 +129,18 @@ util::Status DiagNetModel::adopt_specialized(std::size_t service,
       fs_->landmark_count() != donor.fs_->landmark_count())
     return util::Status::failed_precondition(
         "donor bundle was built for a different feature space");
-  if (!it->second->shares_pooling_with(*general_))
+  // The head will run on this model's trunk: the donor's trunk (the
+  // parameters before its general head) must be this one bit for bit.
+  const std::vector<double> mine = general_->save_parameters();
+  const std::vector<double> theirs = donor.general_->save_parameters();
+  const std::size_t trunk = mine.size() - general_->head().parameter_count();
+  if (!(general_->config() == donor.general_->config()) ||
+      !std::equal(mine.begin(), mine.begin() + trunk, theirs.begin()))
     return util::Status::failed_precondition(
         "specialized head for service " + std::to_string(service) +
-        " does not share this model's frozen pooling kernel (fine-tune with "
+        " was not fine-tuned on this model's frozen trunk (fine-tune with "
         "--freeze-kernel from the same general bundle)");
-  specialized_[service] = std::move(it->second);
+  specialized_.insert_or_assign(service, std::move(it->second));
   donor.specialized_.erase(it);
   return util::Status();
 }
@@ -143,10 +150,10 @@ const nn::CoarseNet& DiagNetModel::general_net() const {
   return *general_;
 }
 
-const nn::CoarseNet& DiagNetModel::service_net(std::size_t service) const {
+const nn::CoarseHead& DiagNetModel::service_head(std::size_t service) const {
   DIAGNET_REQUIRE(trained());
   const auto it = specialized_.find(service);
-  return it != specialized_.end() ? *it->second : *general_;
+  return it != specialized_.end() ? it->second : general_->head();
 }
 
 util::Status DiagNetModel::validate(const DiagnoseRequest& request) const {
@@ -176,36 +183,36 @@ DiagnoseResponse DiagNetModel::diagnose(const DiagnoseRequest& request) const {
     all_landmarks.assign(fs_->landmark_count(), true);
     mask = &all_landmarks;
   }
-  const nn::CoarseNet& net =
-      request.use_general ? *general_ : service_net(request.service);
+  const nn::CoarseHead& head = request.use_general
+                                   ? general_->head()
+                                   : service_head(request.service);
   [[maybe_unused]] const auto t0 = std::chrono::steady_clock::now();
-  response.diagnosis = diagnose_with(net, request.features, *mask);
+  {
+    DIAGNET_SPAN("diagnet.diagnose");
+    DIAGNET_COUNT("diagnet.diagnose.calls");
+    // Steps 1-5 of Fig. 2 on the (possibly larger-than-training) fleet.
+    const nn::LandBatch batch =
+        data::encode_sample(request.features, *fs_, normalizer_, *mask);
+    const AttentionResult attention = [&] {
+      // The gradient method is one forward + one input-gradient backward
+      // pass (§III-E) — the latency the paper's 45 ms figure is dominated
+      // by.
+      DIAGNET_SPAN("diagnet.attention");
+      return config_.attention == AttentionMethod::Gradient
+                 ? std::move(compute_attention_heads(
+                                 *general_, {{&head, 0, 1}}, batch, *fs_)
+                                 .front())
+                 : compute_occlusion_attention(*general_, batch, *fs_, &head);
+    }();
+    response.diagnosis =
+        complete_diagnosis(attention, request.features, *mask);
+  }
   [[maybe_unused]] const double latency_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
   DIAGNET_OBSERVE("diagnose.latency_ms", latency_ms);
   return response;
-}
-
-Diagnosis DiagNetModel::diagnose_with(
-    const nn::CoarseNet& net, const std::vector<double>& raw_features,
-    const std::vector<bool>& landmark_available) const {
-  DIAGNET_SPAN("diagnet.diagnose");
-  DIAGNET_COUNT("diagnet.diagnose.calls");
-  // Steps 1-5 of Fig. 2 on the (possibly larger-than-training) fleet.
-  const nn::LandBatch batch = data::encode_sample(
-      raw_features, *fs_, normalizer_, landmark_available);
-  const AttentionResult attention = [&] {
-    // The gradient method is one forward + one input-gradient backward pass
-    // (§III-E) — the latency the paper's 45 ms figure is dominated by.
-    DIAGNET_SPAN("diagnet.attention");
-    return config_.attention == AttentionMethod::Gradient
-               ? compute_attention(net, batch, *fs_)
-               : compute_occlusion_attention(net, batch, *fs_);
-  }();
-
-  return complete_diagnosis(attention, raw_features, landmark_available);
 }
 
 Diagnosis DiagNetModel::complete_diagnosis(
@@ -258,7 +265,8 @@ std::vector<double> DiagNetModel::coarse_predict(
   const nn::LandBatch batch = data::encode_sample(
       raw_features, *fs_, normalizer_, landmark_available);
   nn::CoarseWorkspace ws;
-  return nn::softmax(service_net(service).forward(batch, ws)).row_copy(0);
+  return nn::softmax(general_->forward(batch, ws, &service_head(service)))
+      .row_copy(0);
 }
 
 }  // namespace diagnet::core
@@ -266,10 +274,11 @@ std::vector<double> DiagNetModel::coarse_predict(
 namespace diagnet::core {
 
 namespace {
-// Bumped from ...0001 when the feature-space schema (landmark count, total
-// feature count) was added to the bundle so load() can reject a model
-// trained against a different deployment outright.
-constexpr std::uint64_t kModelTag = 0xd1a60e7'0002ULL;
+// ...0002 added the feature-space schema (landmark count, total feature
+// count) so load() can reject a model trained against a different
+// deployment outright; ...0003 stores each specialised service as its head
+// only, on the general network's trunk.
+constexpr std::uint64_t kModelTag = 0xd1a60e7'0003ULL;
 }
 
 void DiagNetModel::save(util::BinaryWriter& writer) const {
@@ -297,12 +306,13 @@ void DiagNetModel::save(util::BinaryWriter& writer) const {
   writer.write_bool(config_.use_score_weighting);
   writer.write_bool(config_.use_ensemble);
 
-  // Weights.
+  // Weights: the general network (trunk + general head), then one head
+  // per specialised service.
   writer.write_doubles(general_->save_parameters());
   writer.write_u64(specialized_.size());
-  for (const auto& [service, net] : specialized_) {
+  for (const auto& [service, head] : specialized_) {
     writer.write_u64(service);
-    writer.write_doubles(net->save_parameters());
+    writer.write_doubles(head.save_parameters());
   }
 
   normalizer_.save(writer);
@@ -349,9 +359,9 @@ std::unique_ptr<DiagNetModel> DiagNetModel::load(
   const std::uint64_t specialized_count = reader.read_u64();
   for (std::uint64_t i = 0; i < specialized_count; ++i) {
     const auto service = static_cast<std::size_t>(reader.read_u64());
-    auto net = model->general_->clone();
-    net->load_parameters(reader.read_doubles());
-    model->specialized_[service] = std::move(net);
+    nn::CoarseHead head = model->general_->head();
+    head.load_parameters(reader.read_doubles());
+    model->specialized_.insert_or_assign(service, std::move(head));
   }
 
   model->normalizer_.load(reader, fs);

@@ -5,11 +5,12 @@
 //                      services' samples, train the auxiliary extensible
 //                      Random Forest (§III-F), record which landmarks /
 //                      features were available ("known").
-//   specialize()     — derive a per-service model: clone the general
-//                      network, freeze the representation (convolution +
-//                      first hidden layer), retrain the final
-//                      fully-connected layers on that service's samples
-//                      (§III-D, §IV-F).
+//   specialize()     — derive a per-service head: clone the general
+//                      network, freeze its trunk (convolution + first
+//                      hidden layer), retrain the final fully-connected
+//                      layers on that service's samples (§III-D, §IV-F),
+//                      and keep only those layers. The model stores one
+//                      trunk, the general head and one head per service.
 //   diagnose()       — rank all m root causes for one degraded sample:
 //                      coarse prediction -> gradient attention (§III-E) ->
 //                      Algorithm 1 score weighting -> ensemble averaging
@@ -118,14 +119,14 @@ class DiagNetModel {
   /// (per-epoch losses feed Fig. 9).
   nn::TrainingHistory train_general(const data::Dataset& train);
 
-  /// Derive the specialised model for `service` from the general model.
+  /// Derive the specialised head for `service` from the general model.
   /// Uses only the training samples of that service.
   nn::TrainingHistory specialize(std::size_t service,
                                  const data::Dataset& train);
 
   /// Diagnose one request (the stable API): validates the request shape
   /// and model state into the response Status instead of throwing, routes
-  /// through the service's specialised model (or the general one when
+  /// through the service's specialised head (or the general one when
   /// request.use_general), and returns the ranked diagnosis. Const and
   /// thread-safe: inference reads the networks and keeps its activations in
   /// a per-call workspace, so many threads may share one model.
@@ -152,10 +153,11 @@ class DiagNetModel {
 
   /// Move `donor`'s specialized head for `service` into this model — the
   /// serving router uses this to merge per-service fine-tuned bundles into
-  /// one serving model. Fails unless the head was fine-tuned from the same
-  /// frozen representation (bit-identical LandPooling parameters and
-  /// matching feature space), which is what lets the batched engine share
-  /// pooling work across services. On success the donor loses the head.
+  /// one serving model. The head will run on this model's trunk, so this
+  /// fails (failed_precondition) unless the donor's trunk — architecture,
+  /// LandPooling and frozen hidden-layer weights — is bit-identical to this
+  /// model's, and the feature space matches. On success the donor loses
+  /// the head.
   util::Status adopt_specialized(std::size_t service, DiagNetModel& donor);
 
   /// Services with a specialized head, ascending.
@@ -166,10 +168,11 @@ class DiagNetModel {
   const data::FeatureSpace& feature_space() const { return *fs_; }
   const data::Normalizer& normalizer() const { return normalizer_; }
   const forest::ExtensibleForest& auxiliary() const { return auxiliary_; }
+  /// The general network: the shared trunk and the general head.
   const nn::CoarseNet& general_net() const;
-  /// The network that serves `service`: its specialised head when one
-  /// exists, the general network otherwise.
-  const nn::CoarseNet& service_net(std::size_t service) const;
+  /// The head that serves `service` on general_net()'s trunk: its
+  /// specialised head when one exists, the general head otherwise.
+  const nn::CoarseHead& service_head(std::size_t service) const;
   /// Features unseen during training (the set U of §III-F).
   const std::vector<std::size_t>& unknown_features() const {
     return unknown_features_;
@@ -194,15 +197,11 @@ class DiagNetModel {
   }
 
  private:
-  Diagnosis diagnose_with(const nn::CoarseNet& net,
-                          const std::vector<double>& raw_features,
-                          const std::vector<bool>& landmark_available) const;
-
   const data::FeatureSpace* fs_;
   DiagNetConfig config_;
   data::Normalizer normalizer_;
   std::unique_ptr<nn::CoarseNet> general_;
-  std::map<std::size_t, std::unique_ptr<nn::CoarseNet>> specialized_;
+  std::map<std::size_t, nn::CoarseHead> specialized_;
   forest::ExtensibleForest auxiliary_;
   std::vector<std::size_t> unknown_features_;
 };

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/binary_io.h"
 #include "util/require.h"
@@ -11,11 +12,13 @@ namespace diagnet::core {
 
 namespace {
 constexpr std::uint64_t kFileMagic = 0x44474e4554'4d4f44ULL;  // "DGNET MOD"
-// v2: the model payload is wrapped in {checksum, length, bytes} so any
-// truncation or in-place corruption — including flipped bits inside weight
-// doubles, which no structural check can see — is rejected cleanly instead
-// of silently loading a garbage model.
-constexpr std::uint64_t kFileVersion = 2;
+// The model payload is wrapped in {checksum, length, bytes} (since v2) so
+// any truncation or in-place corruption — including flipped bits inside
+// weight doubles, which no structural check can see — is rejected cleanly
+// instead of silently loading a garbage model. v3 stores each specialised
+// service as its head only, on the general network's trunk; v2 stored a
+// full network per service.
+constexpr std::uint64_t kFileVersion = 3;
 }  // namespace
 
 util::Status try_save_model(const DiagNetModel& model, std::ostream& os) {
@@ -60,7 +63,10 @@ util::StatusOr<std::unique_ptr<DiagNetModel>> try_load_model(
     const std::uint64_t version = reader.read_u64();
     if (version != kFileVersion)
       return util::Status::data_loss(
-          "model registry: unsupported version");
+          "model registry: bundle version " + std::to_string(version) +
+          " is not supported (this build reads version " +
+          std::to_string(kFileVersion) +
+          "); retrain the bundle with this build");
     const std::uint64_t checksum = reader.read_u64();
     const std::string payload = reader.read_string();
     if (util::fnv1a64(payload.data(), payload.size()) != checksum)

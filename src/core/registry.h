@@ -2,11 +2,14 @@
 //
 // The paper's deployment (Fig. 1) has a central analysis service that
 // trains the inference model and *shares* it with clients; this registry
-// is the wire/disk format for that hand-off. A saved model bundle carries
-// everything inference needs — the coarse-network architecture and
-// weights, every specialised per-service head, the normaliser statistics,
-// the auxiliary Random Forest, and the unknown-feature set — so a client
-// can diagnose without access to any training data.
+// is the wire/disk format for that hand-off. A saved model bundle (format
+// v3) carries everything inference needs — the coarse-network architecture,
+// the general network's weights (trunk + general head), the weights of
+// every specialised per-service head (the final FC layers only), the
+// normaliser statistics, the auxiliary Random Forest, and the
+// unknown-feature set — so a client can diagnose without access to any
+// training data. Bundles of other versions are refused with a data_loss
+// Status that names the version; v2 bundles must be retrained.
 //
 // The primary API is Status-based (try_*): corruption, truncation and
 // shape mismatches come back as util::Status (data_loss / not_found /
@@ -32,7 +35,7 @@ util::Status try_save_model_file(const DiagNetModel& model,
 
 /// Side-channel facts about a successfully loaded bundle; the serving
 /// subsystem surfaces these through its statsz endpoint so an operator
-/// can tell WHICH model a process is serving (the checksum is the v2
+/// can tell WHICH model a process is serving (the checksum is the
 /// registry's FNV-1a payload checksum, i.e. it identifies the exact
 /// trained weights, not just a file path).
 struct ModelBundleInfo {

@@ -9,7 +9,7 @@
 //   campaign.idx                            manifest + per-chunk table
 //                                           {sample count, byte length,
 //                                           fnv1a64 checksum}, itself
-//                                           checksummed like the v2 model
+//                                           checksummed like the model
 //                                           registry
 //
 // Chunks are bookkeeping over the shard byte stream — they never span a

@@ -1,6 +1,7 @@
 #include "nn/coarse_net.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/require.h"
@@ -18,17 +19,124 @@ void relu_inplace(Matrix& m) {
     if (p[i] < 0.0) p[i] = 0.0;
 }
 
-/// Zero grad entries whose post-activation is <= 0 (the ReLU gate).
-void relu_gate_inplace(const Matrix& post, Matrix& grad) {
+/// out = grad with the entries whose post-activation is <= 0 zeroed (the
+/// ReLU gate).
+void relu_gate(const Matrix& post, const Matrix& grad, Matrix& out) {
   DIAGNET_REQUIRE(post.same_shape(grad));
+  out.resize(grad.rows(), grad.cols());
   const double* a = post.data();
-  double* g = grad.data();
+  const double* g = grad.data();
+  double* o = out.data();
   const std::size_t n = grad.size();
-  for (std::size_t i = 0; i < n; ++i)
-    if (a[i] <= 0.0) g[i] = 0.0;
+  for (std::size_t i = 0; i < n; ++i) o[i] = a[i] <= 0.0 ? 0.0 : g[i];
+}
+
+/// Forward through a chain of fully-connected layers, a ReLU after each one
+/// (but the last unless `relu_last`). act[i] receives layer i's output;
+/// returns the chain's output (`input` for an empty chain).
+const Matrix& chain_forward(const std::vector<Linear>& layers,
+                            const Matrix& input, std::vector<Matrix>& act,
+                            bool relu_last) {
+  act.resize(layers.size());  // no-op once sized
+  const Matrix* x = &input;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    layers[i].forward_into(*x, act[i]);
+    if (relu_last || i + 1 < layers.size()) relu_inplace(act[i]);
+    x = &act[i];
+  }
+  return *x;
+}
+
+/// Backward of chain_forward from dLoss/d output down to dLoss/d input,
+/// which is returned (in grad_a, or grad_out itself for an empty chain).
+/// With `param_grads` — (weight, bias) per layer — also accumulates the
+/// parameter gradients. grad_out may be grad_a only when relu_last: the
+/// gate copies it into grad_b before grad_a is written.
+const Matrix& chain_backward(const std::vector<Linear>& layers,
+                             const Matrix& input,
+                             const std::vector<Matrix>& act, bool relu_last,
+                             const Matrix& grad_out, Matrix& grad_a,
+                             Matrix& grad_b, Matrix* param_grads) {
+  const Matrix* grad = &grad_out;
+  for (std::size_t i = layers.size(); i-- > 0;) {
+    if (relu_last || i + 1 < layers.size()) {
+      relu_gate(act[i], *grad, grad_b);
+      grad = &grad_b;
+    }
+    const Matrix& in = i == 0 ? input : act[i - 1];
+    if (param_grads != nullptr)
+      layers[i].backward_into(in, *grad, param_grads[2 * i],
+                              param_grads[2 * i + 1], &grad_a);
+    else
+      layers[i].backward_input_into(*grad, grad_a);
+    grad = &grad_a;
+  }
+  return *grad;
+}
+
+std::vector<Parameter*> layer_parameters(std::vector<Linear>& layers) {
+  std::vector<Parameter*> params;
+  for (auto& layer : layers)
+    for (Parameter* p : layer.parameters()) params.push_back(p);
+  return params;
+}
+
+std::size_t count(const std::vector<Parameter*>& params) {
+  std::size_t n = 0;
+  for (const Parameter* p : params) n += p->value.size();
+  return n;
+}
+
+std::vector<double> flatten(const std::vector<Parameter*>& params) {
+  std::vector<double> flat;
+  for (const Parameter* p : params) {
+    const double* d = p->value.data();
+    flat.insert(flat.end(), d, d + p->value.size());
+  }
+  return flat;
+}
+
+void unflatten(const std::vector<double>& flat,
+               const std::vector<Parameter*>& params) {
+  DIAGNET_REQUIRE_MSG(flat.size() == count(params),
+                      "parameter blob does not match the architecture");
+  const double* src = flat.data();
+  for (Parameter* p : params) {
+    std::copy(src, src + p->value.size(), p->value.data());
+    src += p->value.size();
+  }
 }
 
 }  // namespace
+
+const Matrix& CoarseHead::forward(const Matrix& features,
+                                  CoarseWorkspace& ws) const {
+  return chain_forward(fc_, features, ws.head_act, /*relu_last=*/false);
+}
+
+const Matrix& CoarseHead::backward(const Matrix& features,
+                                   const Matrix& grad_logits,
+                                   CoarseWorkspace& ws,
+                                   Matrix* param_grads) const {
+  return chain_backward(fc_, features, ws.head_act, /*relu_last=*/false,
+                        grad_logits, ws.grad_a, ws.grad_b, param_grads);
+}
+
+std::vector<Parameter*> CoarseHead::parameters() {
+  return layer_parameters(fc_);
+}
+
+std::size_t CoarseHead::parameter_count() const {
+  return count(const_cast<CoarseHead*>(this)->parameters());
+}
+
+std::vector<double> CoarseHead::save_parameters() const {
+  return flatten(const_cast<CoarseHead*>(this)->parameters());
+}
+
+void CoarseHead::load_parameters(const std::vector<double>& flat) {
+  unflatten(flat, parameters());
+}
 
 CoarseNet::CoarseNet(const CoarseNetConfig& config, util::Rng& rng)
     : config_(config),
@@ -42,6 +150,11 @@ CoarseNet::CoarseNet(const CoarseNetConfig& config, util::Rng& rng)
     in = h;
   }
   fc_.emplace_back(in, config.classes, rng);
+  // The head is the last hidden layer (if any) plus the output layer.
+  const auto head_begin = fc_.end() - (fc_.size() >= 2 ? 2 : 1);
+  head_.fc_.assign(std::make_move_iterator(head_begin),
+                   std::make_move_iterator(fc_.end()));
+  fc_.erase(head_begin, fc_.end());
 }
 
 void CoarseNet::init_workspace(CoarseWorkspace& ws) const {
@@ -52,111 +165,79 @@ void CoarseNet::init_workspace(CoarseWorkspace& ws) const {
                                   params[i]->value.cols());
 }
 
-const Matrix& CoarseNet::forward(const LandBatch& batch,
-                                 CoarseWorkspace& ws) const {
+const Matrix& CoarseNet::forward_trunk(const LandBatch& batch,
+                                       CoarseWorkspace& ws) const {
+  DIAGNET_REQUIRE(batch.local.cols() == config_.local_features &&
+                  batch.local.rows() == batch.size());
   pool_.forward(batch.land, batch.mask, ws.pool, ws.pooled);
-  return forward_fc(ws.pooled, batch.local, ws);
-}
-
-const Matrix& CoarseNet::forward_fc(const Matrix& pooled, const Matrix& local,
-                                    CoarseWorkspace& ws) const {
-  DIAGNET_REQUIRE(pooled.cols() == local_offset_ &&
-                  local.cols() == config_.local_features &&
-                  pooled.rows() == local.rows());
-  const std::size_t hidden = fc_.size() - 1;
-  ws.act.resize(hidden);  // no-op once sized
 
   // Concatenate the pooled landmark representation with local features.
-  ws.concat.resize(pooled.rows(), local_offset_ + config_.local_features);
+  ws.concat.resize(batch.size(), local_offset_ + config_.local_features);
   for (std::size_t r = 0; r < ws.concat.rows(); ++r) {
     double* row = ws.concat.row_ptr(r);
-    std::copy(pooled.row_ptr(r), pooled.row_ptr(r) + pooled.cols(), row);
-    std::copy(local.row_ptr(r), local.row_ptr(r) + local.cols(),
+    std::copy(ws.pooled.row_ptr(r), ws.pooled.row_ptr(r) + local_offset_,
+              row);
+    std::copy(batch.local.row_ptr(r),
+              batch.local.row_ptr(r) + config_.local_features,
               row + local_offset_);
   }
-
-  const Matrix* x = &ws.concat;
-  for (std::size_t i = 0; i < hidden; ++i) {
-    fc_[i].forward_into(*x, ws.act[i]);
-    relu_inplace(ws.act[i]);
-    x = &ws.act[i];
-  }
-  fc_.back().forward_into(*x, ws.logits);
-  return ws.logits;
+  return chain_forward(fc_, ws.concat, ws.trunk_act, /*relu_last=*/true);
 }
 
-void CoarseNet::backward_fc(const Matrix& grad_logits, CoarseWorkspace& ws,
-                            bool params) const {
+const Matrix& CoarseNet::forward(const LandBatch& batch, CoarseWorkspace& ws,
+                                 const CoarseHead* head) const {
+  return (head ? *head : head_).forward(forward_trunk(batch, ws), ws);
+}
+
+void CoarseNet::backward_trunk(const Matrix& grad_features,
+                               CoarseWorkspace& ws, bool params) const {
   // ws.param_grads order matches parameters(): pooling kernel and bias
-  // first, then (weight, bias) per fully-connected layer.
-  const auto layer_backward = [&](std::size_t layer, const Matrix& in,
-                                  const Matrix& grad_out, Matrix& grad_in) {
-    if (params)
-      fc_[layer].backward_into(in, grad_out, ws.param_grads[2 + 2 * layer],
-                               ws.param_grads[3 + 2 * layer], &grad_in);
-    else
-      fc_[layer].backward_input_into(grad_out, grad_in);
-  };
+  // first, then (weight, bias) per trunk layer, then the head's.
+  const Matrix& grad_concat = chain_backward(
+      fc_, ws.concat, ws.trunk_act, /*relu_last=*/true, grad_features,
+      ws.grad_a, ws.grad_b, params ? ws.param_grads.data() + 2 : nullptr);
 
-  const std::size_t hidden = fc_.size() - 1;
-  layer_backward(hidden, hidden == 0 ? ws.concat : ws.act.back(), grad_logits,
-                 ws.grad_a);
-  for (std::size_t i = hidden; i-- > 0;) {
-    relu_gate_inplace(ws.act[i], ws.grad_a);
-    layer_backward(i, i == 0 ? ws.concat : ws.act[i - 1], ws.grad_a,
-                   ws.grad_b);
-    std::swap(ws.grad_a, ws.grad_b);
-  }
-
-  // Split off the pooled part of the concat gradient.
-  ws.grad_pooled.resize(ws.grad_a.rows(), local_offset_);
-  for (std::size_t r = 0; r < ws.grad_a.rows(); ++r) {
-    const double* row = ws.grad_a.row_ptr(r);
+  // Split the concat gradient into its pooled and local parts.
+  ws.grad_pooled.resize(grad_concat.rows(), local_offset_);
+  ws.grad_local.resize(grad_concat.rows(), config_.local_features);
+  for (std::size_t r = 0; r < grad_concat.rows(); ++r) {
+    const double* row = grad_concat.row_ptr(r);
     std::copy(row, row + local_offset_, ws.grad_pooled.row_ptr(r));
+    std::copy(row + local_offset_, row + grad_concat.cols(),
+              ws.grad_local.row_ptr(r));
   }
+  if (params)
+    pool_.backward_params(ws.grad_pooled, ws.pool, ws.param_grads[0],
+                          ws.param_grads[1]);
+  else
+    pool_.backward_input(ws.grad_pooled, ws.pool, ws.grad_land);
 }
 
 void CoarseNet::backward(const Matrix& grad_logits,
                          CoarseWorkspace& ws) const {
-  backward_fc(grad_logits, ws, /*params=*/true);
-  pool_.backward_params(ws.grad_pooled, ws.pool, ws.param_grads[0],
-                        ws.param_grads[1]);
-}
-
-void CoarseNet::backward_input_fc(const Matrix& grad_logits,
-                                  CoarseWorkspace& ws) const {
-  backward_fc(grad_logits, ws, /*params=*/false);
-  ws.grad_local.resize(ws.grad_a.rows(), config_.local_features);
-  for (std::size_t r = 0; r < ws.grad_a.rows(); ++r) {
-    const double* row = ws.grad_a.row_ptr(r) + local_offset_;
-    std::copy(row, row + config_.local_features, ws.grad_local.row_ptr(r));
-  }
+  backward_trunk(head_.backward(features(ws), grad_logits, ws,
+                                ws.param_grads.data() + 2 + 2 * fc_.size()),
+                 ws, /*params=*/true);
 }
 
 void CoarseNet::backward_input(const Matrix& grad_logits,
                                CoarseWorkspace& ws) const {
-  backward_input_fc(grad_logits, ws);
-  pool_.backward_input(ws.grad_pooled, ws.pool, ws.grad_land);
+  backward_trunk(head_.backward(features(ws), grad_logits, ws), ws);
 }
 
-bool CoarseNet::shares_pooling_with(const CoarseNet& other) const {
-  return local_offset_ == other.local_offset_ &&
-         pool_.same_parameters(other.pool_);
+const Matrix& CoarseNet::features(const CoarseWorkspace& ws) const {
+  return fc_.empty() ? ws.concat : ws.trunk_act.back();
 }
 
 std::vector<Parameter*> CoarseNet::parameters() {
   std::vector<Parameter*> params = pool_.parameters();
-  for (auto& layer : fc_) {
-    for (Parameter* p : layer.parameters()) params.push_back(p);
-  }
+  for (Parameter* p : layer_parameters(fc_)) params.push_back(p);
+  for (Parameter* p : head_.parameters()) params.push_back(p);
   return params;
 }
 
 std::size_t CoarseNet::parameter_count() const {
-  std::size_t n = 0;
-  for (Parameter* p : const_cast<CoarseNet*>(this)->parameters())
-    n += p->value.size();
-  return n;
+  return count(const_cast<CoarseNet*>(this)->parameters());
 }
 
 std::size_t CoarseNet::trainable_parameter_count() const {
@@ -168,13 +249,7 @@ std::size_t CoarseNet::trainable_parameter_count() const {
 
 void CoarseNet::freeze_representation(bool frozen) {
   for (Parameter* p : pool_.parameters()) p->frozen = frozen;
-  // Freeze every hidden layer except the last one; the "final
-  // fully-connected layers" (last hidden + output) stay trainable.
-  DIAGNET_REQUIRE(!fc_.empty());
-  const std::size_t keep_from = fc_.size() >= 2 ? fc_.size() - 2 : 0;
-  for (std::size_t i = 0; i < keep_from; ++i) {
-    for (Parameter* p : fc_[i].parameters()) p->frozen = frozen;
-  }
+  for (Parameter* p : layer_parameters(fc_)) p->frozen = frozen;
 }
 
 std::unique_ptr<CoarseNet> CoarseNet::clone() const {
@@ -182,24 +257,11 @@ std::unique_ptr<CoarseNet> CoarseNet::clone() const {
 }
 
 std::vector<double> CoarseNet::save_parameters() const {
-  std::vector<double> flat;
-  for (Parameter* p : const_cast<CoarseNet*>(this)->parameters()) {
-    const double* d = p->value.data();
-    flat.insert(flat.end(), d, d + p->value.size());
-  }
-  return flat;
+  return flatten(const_cast<CoarseNet*>(this)->parameters());
 }
 
 void CoarseNet::load_parameters(const std::vector<double>& flat) {
-  std::size_t off = 0;
-  for (Parameter* p : parameters()) {
-    DIAGNET_REQUIRE_MSG(off + p->value.size() <= flat.size(),
-                        "parameter blob too short");
-    double* d = p->value.data();
-    for (std::size_t i = 0; i < p->value.size(); ++i) d[i] = flat[off + i];
-    off += p->value.size();
-  }
-  DIAGNET_REQUIRE_MSG(off == flat.size(), "parameter blob too long");
+  unflatten(flat, parameters());
 }
 
 }  // namespace diagnet::nn

@@ -4,6 +4,12 @@
 //                                   ├─ concat ─> FC(512) ─ ReLU ─ FC(128)
 //   local features ─────────────────┘           ─ ReLU ─ FC(c) ─ softmax
 //
+// It is split into a trunk — LandPooling, the concat and every hidden layer
+// but the last, the representation freeze_representation() freezes — and a
+// head: the last hidden layer and the output layer, the part service
+// specialisation retrains (§IV-F). A specialised model is another
+// CoarseHead on the same trunk, so one trunk pass can feed many heads.
+//
 // The network exposes input gradients (both landmark and local) because the
 // attention step (Fig. 2, step 5) differentiates the ideal-label loss with
 // respect to the features. All passes are const and run on a caller-owned
@@ -28,6 +34,8 @@ struct CoarseNetConfig {
   std::vector<PoolOp> pool_ops = default_pool_ops();
   std::vector<std::size_t> hidden = {512, 128};
   std::size_t classes = 7;                 // c
+
+  bool operator==(const CoarseNetConfig&) const = default;
 };
 
 /// Per-thread forward/backward state: activations, gradient scratch, and
@@ -40,8 +48,8 @@ struct CoarseWorkspace {
   LandPooling::PoolContext pool;
   Matrix pooled;             // (B, ops·f)
   Matrix concat;             // (B, ops·f + local): input to the first FC
-  std::vector<Matrix> act;   // act[i]: post-ReLU output of hidden layer i
-  Matrix logits;             // (B, c)
+  std::vector<Matrix> trunk_act;  // post-ReLU output of each trunk layer
+  std::vector<Matrix> head_act;   // head layer outputs; back() = logits
   Matrix grad_logits;        // dLoss/dLogits, filled by the loss
   Matrix grad_a, grad_b;     // ping-pong input-gradient buffers
   Matrix grad_pooled;        // concat gradient split, pooled part
@@ -55,6 +63,32 @@ struct CoarseWorkspace {
   }
 };
 
+/// The final fully-connected layers — the last hidden layer (ReLU) and the
+/// output layer: from a CoarseNet's trunk features to logits over the c
+/// coarse families.
+class CoarseHead {
+ public:
+  /// Logits (B x c) from trunk features (B x in), into ws.head_act.
+  const Matrix& forward(const Matrix& features, CoarseWorkspace& ws) const;
+
+  /// Backward from dLoss/dLogits to dLoss/d features, which is returned
+  /// (it lives in ws). With `param_grads` — (weight, bias) per layer in
+  /// parameters() order, pre-sized — also accumulates the parameter
+  /// gradients; `features` must be what forward() read.
+  const Matrix& backward(const Matrix& features, const Matrix& grad_logits,
+                         CoarseWorkspace& ws,
+                         Matrix* param_grads = nullptr) const;
+
+  std::vector<Parameter*> parameters();
+  std::size_t parameter_count() const;
+  std::vector<double> save_parameters() const;
+  void load_parameters(const std::vector<double>& flat);
+
+ private:
+  friend class CoarseNet;
+  std::vector<Linear> fc_;
+};
+
 class CoarseNet {
  public:
   CoarseNet(const CoarseNetConfig& config, util::Rng& rng);
@@ -64,77 +98,71 @@ class CoarseNet {
   /// it, and the passes below size every other buffer on the fly.
   void init_workspace(CoarseWorkspace& ws) const;
 
-  /// Forward: logits over the c coarse fault families, (B x c). Every
-  /// intermediate goes into `ws`; returns ws.logits.
-  const Matrix& forward(const LandBatch& batch, CoarseWorkspace& ws) const;
+  /// Forward: logits over the c coarse fault families, (B x c), through
+  /// the trunk and `head` — this net's own head() when null, otherwise a
+  /// head fine-tuned on this trunk. Every intermediate goes into `ws`.
+  const Matrix& forward(const LandBatch& batch, CoarseWorkspace& ws,
+                        const CoarseHead* head = nullptr) const;
 
-  /// FC-stack forward from already-pooled rows, for the shared-pooling
-  /// serving path: the caller pooled a (union) batch once and hands this
-  /// head its rows. The concat + FC half of forward(); per-row bits match
-  /// a full forward() of the same rows (the kernels' per-row group
-  /// structure is batch-size invariant). Returns ws.logits.
-  const Matrix& forward_fc(const Matrix& pooled, const Matrix& local,
-                           CoarseWorkspace& ws) const;
+  /// Trunk forward: LandPooling, concat with the local features, and the
+  /// trunk's hidden layers. Returns the trunk features every head reads;
+  /// they live in `ws`.
+  const Matrix& forward_trunk(const LandBatch& batch,
+                              CoarseWorkspace& ws) const;
 
-  /// Parameter-gradient backward (training): accumulates into
-  /// ws.param_grads (zero_param_grads() first). Input gradients are not
-  /// produced — the training loop discards them, and skipping the
-  /// LandPooling dx pass saves a full K^T·dF sweep per step.
+  /// Parameter-gradient backward (training) of forward() with the own
+  /// head: accumulates into ws.param_grads (zero_param_grads() first).
+  /// Input gradients are not produced — the training loop discards them,
+  /// and skipping the LandPooling dx pass saves a full K^T·dF sweep per
+  /// step.
   void backward(const Matrix& grad_logits, CoarseWorkspace& ws) const;
 
-  /// Input-gradient backward (inference — gradient attention): writes
-  /// dLoss/d land into ws.grad_land and dLoss/d local into ws.grad_local.
-  /// No parameter gradient is touched, which skips roughly half the FLOPs
-  /// of a parameter backward.
+  /// Input-gradient backward (inference — gradient attention) of forward()
+  /// with the own head: writes dLoss/d land into ws.grad_land and dLoss/d
+  /// local into ws.grad_local. No parameter gradient is touched, which
+  /// skips roughly half the FLOPs of a parameter backward.
   void backward_input(const Matrix& grad_logits, CoarseWorkspace& ws) const;
 
-  /// Input-gradient backward matching forward_fc: the FC chain only, into
-  /// ws.grad_pooled and ws.grad_local (the caller scatters the pooled part
-  /// into the union batch and runs one shared LandPooling backward).
-  void backward_input_fc(const Matrix& grad_logits,
-                         CoarseWorkspace& ws) const;
+  /// Trunk backward from dLoss/d features (the heads' backward output,
+  /// rows matching the last forward_trunk): with `params`, accumulates the
+  /// trunk's parameter gradients into ws.param_grads; otherwise writes the
+  /// input gradients ws.grad_land and ws.grad_local.
+  void backward_trunk(const Matrix& grad_features, CoarseWorkspace& ws,
+                      bool params = false) const;
 
   std::vector<Parameter*> parameters();
   std::size_t parameter_count() const;
   std::size_t trainable_parameter_count() const;
 
-  /// Freeze the representation layers (LandPooling kernel + first hidden
-  /// layer); only the final fully-connected layers stay trainable. This is
-  /// the service-specialisation split of paper §IV-F.
+  /// Freeze the trunk (LandPooling kernel + every hidden layer but the
+  /// last); only the head stays trainable. This is the
+  /// service-specialisation split of paper §IV-F.
   void freeze_representation(bool frozen = true);
 
-  /// True when this net's LandPooling computes bit-identical pooled rows to
-  /// `other`'s — the precondition for the serving router to share one
-  /// pooling pass across specialized heads.
-  bool shares_pooling_with(const CoarseNet& other) const;
-
   const CoarseNetConfig& config() const { return config_; }
-  LandPooling& pooling() { return pool_; }
   const LandPooling& pooling() const { return pool_; }
+  const CoarseHead& head() const { return head_; }
 
   /// Deep copy (shares nothing) — used to derive specialised models from
   /// the general model. Concurrent inference needs no copy: share the
   /// network and give each thread its own CoarseWorkspace.
   std::unique_ptr<CoarseNet> clone() const;
 
-  /// Flat parameter (de)serialisation, ordered deterministically.
+  /// Flat parameter (de)serialisation in parameters() order: the trunk's,
+  /// then the head's.
   std::vector<double> save_parameters() const;
   void load_parameters(const std::vector<double>& flat);
 
  private:
   CoarseNet(const CoarseNet&) = default;  // for clone()
 
-  /// The FC chain backward shared by both passes: dLoss/dLogits down to the
-  /// concat input (left in ws.grad_a, pooled part split into
-  /// ws.grad_pooled). With `params`, also accumulates the FC layers'
-  /// parameter gradients into ws.param_grads.
-  void backward_fc(const Matrix& grad_logits, CoarseWorkspace& ws,
-                   bool params) const;
+  /// The trunk features of the last forward_trunk into `ws`.
+  const Matrix& features(const CoarseWorkspace& ws) const;
 
   CoarseNetConfig config_;
   LandPooling pool_;
-  std::vector<Linear> fc_;     // hidden layers (each followed by a ReLU)
-                               // + output layer
+  std::vector<Linear> fc_;  // trunk hidden layers, each followed by a ReLU
+  CoarseHead head_;
   std::size_t local_offset_ = 0;  // where local features sit in the concat
 };
 

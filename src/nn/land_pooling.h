@@ -92,17 +92,10 @@ class LandPooling {
   /// at masked-out landmarks; kernel/bias gradients are not accumulated.
   /// Routes exactly as backward_params does. Rows are fully independent, so
   /// a union batch pooled once and back-propagated once yields, per row,
-  /// the same bits as each sub-batch alone — the property the
-  /// shared-pooling serving path relies on.
+  /// the same bits as each sub-batch alone — the property that lets one
+  /// trunk pass serve several specialised heads.
   void backward_input(const Matrix& grad_pooled, PoolContext& ctx,
                       Matrix& grad_land) const;
-
-  /// True when `other` computes the identical pooling function: same k,
-  /// filter count, operator bank, and bit-identical kernel/bias values.
-  /// Specialized heads fine-tuned with --freeze-kernel keep this true
-  /// against their donor, which is what lets the serving router share one
-  /// LandPooling pass across services.
-  bool same_parameters(const LandPooling& other) const;
 
   std::vector<Parameter*> parameters() { return {&kernel_, &bias_}; }
 

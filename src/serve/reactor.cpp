@@ -53,8 +53,6 @@ ReactorStats ReactorCounters::snapshot() const {
 
 }  // namespace detail
 
-bool reactor_supported() { return DIAGNET_SERVE_HAS_EPOLL != 0; }
-
 #if DIAGNET_SERVE_HAS_EPOLL
 
 namespace {

@@ -36,9 +36,9 @@
 // The service layer above (micro-batcher, hot reload, statsz) is shared
 // with the stdio session: the reactor is only the transport.
 //
-// Linux-only (epoll); reactor_supported() reports availability. Elsewhere
-// listen() and run() return unavailable, and `diagnet serve --port` exits
-// with that error — the stdio transport stays portable.
+// Linux-only (epoll). Elsewhere listen() and run() return unavailable, and
+// `diagnet serve --port` exits with that error — the stdio transport stays
+// portable.
 #pragma once
 
 #include <atomic>
@@ -113,9 +113,6 @@ struct ReactorCounters {
   ReactorStats snapshot() const;
 };
 }  // namespace detail
-
-/// True when this build has the epoll reactor (Linux).
-bool reactor_supported();
 
 /// One event loop. Drive it either through Reactor::run (production) or
 /// manually with poll_once() from a test harness. All methods are

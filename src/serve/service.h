@@ -72,7 +72,7 @@ class ModelProvider {
   /// caller computed over all of them.
   void swap(std::shared_ptr<core::DiagNetModel> next, std::uint64_t checksum);
 
-  /// Load a bundle through the v2 checksummed registry and swap it in.
+  /// Load a bundle through the checksummed registry and swap it in.
   /// On any error (missing file, corrupt bundle, wrong deployment shape)
   /// the current model stays and the Status says why — a bad bundle can
   /// never take down a serving process.
@@ -89,7 +89,7 @@ class ModelProvider {
   std::uint64_t generation() const;
 
   /// FNV-1a payload checksum of the bundle behind current(), as recorded
-  /// by the v2 registry at load time — statsz exposes it so an operator
+  /// by the registry at load time — statsz exposes it so an operator
   /// can verify which trained weights a process serves. 0 when the model
   /// was handed in directly (no bundle ever loaded).
   std::uint64_t checksum() const;

@@ -152,8 +152,8 @@ void check_bundle_fuzz(CaseContext& ctx) {
   }
 
   // Every corruption of the logical stream must be rejected cleanly. The
-  // v2 checksum makes this airtight: any surviving bit difference either
-  // breaks the header, the length, or the payload digest.
+  // payload checksum makes this airtight: any surviving bit difference
+  // either breaks the header, the length, or the payload digest.
   for (std::size_t c = 0; c < 4; ++c) {
     ctx.begin_case();
     std::string what;

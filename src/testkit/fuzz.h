@@ -2,7 +2,7 @@
 // CSVs, the raw binary_io primitives). The contract under test is the
 // paper's deployment story: a client that receives a damaged model bundle
 // must reject it with a clean `error:` — never crash, never silently load
-// a garbage model (registry v2's payload checksum makes even flipped bits
+// a garbage model (the registry's payload checksum makes even flipped bits
 // inside weight doubles detectable).
 #pragma once
 

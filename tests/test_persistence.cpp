@@ -124,7 +124,7 @@ TEST(ModelRegistry, GarbageInputRejected) {
 }
 
 TEST(ModelRegistry, FuzzSmokeRejectsAThousandCorruptions) {
-  // Fixed-seed smoke over the registry v2 bundle: 1000 random corruptions
+  // Fixed-seed smoke over the registry bundle: 1000 random corruptions
   // (truncations, bit flips, scribbles, hostile length fields) of a real
   // trained bundle must every one be rejected with a clean exception —
   // never a crash, never a silent load. The deeper randomized sweep lives
@@ -146,7 +146,7 @@ TEST(ModelRegistry, FuzzSmokeRejectsAThousandCorruptions) {
 }
 
 TEST(ModelRegistry, ChecksumCatchesSingleFlippedBitInWeights) {
-  // The v2 payload checksum closes the old silent-garbage hole: flip one
+  // The registry's payload checksum closes the silent-garbage hole: flip one
   // bit in the middle of the payload (weight doubles, not framing) and the
   // load must fail loudly.
   auto& p = pipeline();
@@ -159,6 +159,64 @@ TEST(ModelRegistry, ChecksumCatchesSingleFlippedBitInWeights) {
   const auto loaded = core::try_load_model(is, p.feature_space());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss);
+}
+
+TEST(ModelRegistry, BundleStoresOneTrunkAndOnlyHeadsPerService) {
+  // A bundle stores the general network (trunk + general head) once and
+  // each specialised service as its head only: every head adds exactly its
+  // doubles plus a service id and a length word, never another trunk.
+  auto& p = pipeline();
+  std::stringstream full_ss;
+  ASSERT_TRUE(core::try_save_model(p.diagnet(), full_ss).ok());
+  const std::string full = full_ss.str();
+
+  // The same model with no heads: move every head into a scratch host.
+  const auto load = [&] {
+    std::istringstream is(full);
+    return core::try_load_model(is, p.feature_space());
+  };
+  auto bare = load();
+  auto host = load();
+  ASSERT_TRUE(bare.ok() && host.ok());
+  const std::vector<std::size_t> services = (*bare)->specialized_services();
+  ASSERT_FALSE(services.empty());
+  for (const std::size_t service : services)
+    ASSERT_TRUE((*host)->adopt_specialized(service, **bare).ok());
+  ASSERT_TRUE((*bare)->specialized_services().empty());
+  std::stringstream bare_ss;
+  ASSERT_TRUE(core::try_save_model(**bare, bare_ss).ok());
+
+  // Table I architecture: 229,527 parameters, of which the head — FC(128)
+  // and FC(c = 7) — holds 66,567.
+  const nn::CoarseNet& net = p.diagnet().general_net();
+  EXPECT_EQ(net.parameter_count(), 229527u);
+  const std::size_t head_params = net.head().parameter_count();
+  EXPECT_EQ(head_params, 66567u);
+  const std::size_t per_head_framing = 2 * sizeof(std::uint64_t);
+  EXPECT_EQ(full.size() - bare_ss.str().size(),
+            services.size() *
+                (sizeof(double) * head_params + per_head_framing));
+}
+
+TEST(ModelRegistry, VersionTwoBundleIsRefusedWithRetrainAdvice) {
+  // Version 2 stored a full network per specialised service; there is one
+  // load path, and it refuses such a bundle by name.
+  auto& p = pipeline();
+  std::stringstream clean;
+  ASSERT_TRUE(core::try_save_model(p.diagnet(), clean).ok());
+  std::string bytes = clean.str();
+  std::ostringstream version;
+  util::BinaryWriter(version).write_u64(2);
+  bytes.replace(sizeof(std::uint64_t), sizeof(std::uint64_t), version.str());
+
+  std::istringstream is(bytes);
+  const auto loaded = core::try_load_model(is, p.feature_space());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("version 2"), std::string::npos)
+      << loaded.status().message();
+  EXPECT_NE(loaded.status().message().find("retrain"), std::string::npos)
+      << loaded.status().message();
 }
 
 TEST(ModelRegistry, UntrainedModelCannotBeSaved) {

@@ -492,7 +492,14 @@ TEST(CrossListener, EpollAndStdioSessionAnswerByteIdentically) {
 #else  // !__linux__
 
 TEST(ReactorSim, UnsupportedPlatformReportsUnavailable) {
-  EXPECT_FALSE(serve::reactor_supported());
+  auto provider =
+      std::make_shared<serve::ModelProvider>(testkit::tiny_serving_model());
+  serve::DiagnosisService service(provider, serve::ServiceConfig{});
+  serve::Reactor reactor(service, testkit::tiny_serving_space(),
+                         serve::ReactorConfig{});
+  EXPECT_EQ(reactor.listen(0).code(), util::StatusCode::kUnavailable);
+  const std::atomic<bool> stop{true};
+  EXPECT_EQ(reactor.run(stop).code(), util::StatusCode::kUnavailable);
 }
 
 #endif  // __linux__

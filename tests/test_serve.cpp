@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -997,6 +998,47 @@ TEST(ModelRouter, ReloadIsAllOrNothingAcrossBundles) {
   EXPECT_NE(after_a.diagnosis.scores, before_a.diagnosis.scores)
       << "service A must serve the repaired bundle after the swap";
   expect_bit_identical(after_b.diagnosis, before_b.diagnosis);
+}
+
+TEST(ModelRouter, RefusesHeadsFineTunedOnAnotherTrunk) {
+  auto& p = pipeline();
+  const RouterBundles b = make_router_bundles("trunk");
+
+  // A general model trained with another seed has another trunk; a head
+  // fine-tuned on it cannot run on the served bundle's trunk.
+  core::DiagNetConfig config = p.diagnet().config();
+  config.seed ^= 0x5eedULL;
+  config.trainer.max_epochs = 1;
+  config.specialization.max_epochs = 1;
+  core::DiagNetModel foreign(p.feature_space(), config);
+  foreign.train_general(p.split().train);
+  foreign.specialize(b.service_a, p.split().train);
+  const std::string foreign_path =
+      testing::TempDir() + "/router_foreign_head_trunk.bin";
+  ASSERT_TRUE(core::try_save_model_file(foreign, foreign_path).ok());
+
+  serve::ModelRouter::Config router_config;
+  router_config.default_path = b.general_path;
+  router_config.services = {{b.service_b, b.head_b_path},
+                            {b.service_a, foreign_path}};
+  const auto refused =
+      serve::ModelRouter::create(router_config, p.feature_space());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find(
+                "service " + std::to_string(b.service_a)),
+            std::string::npos)
+      << refused.status().message();
+
+  // Heads fine-tuned from the served bundle are still adopted.
+  router_config.services = {{b.service_b, b.head_b_path},
+                            {b.service_a, b.head_a_path}};
+  const auto adopted =
+      serve::ModelRouter::create(router_config, p.feature_space());
+  ASSERT_TRUE(adopted.ok()) << adopted.status().to_string();
+  const std::vector<std::size_t> routed = (*adopted)->services();
+  for (const std::size_t service : {b.service_a, b.service_b})
+    EXPECT_NE(std::find(routed.begin(), routed.end(), service), routed.end());
 }
 
 TEST(ModelRouter, CreateFailsClosedOnBadBundle) {

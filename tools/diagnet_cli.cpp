@@ -8,9 +8,9 @@
 //       Apply the paper's hidden-landmark split, train the general model,
 //       the per-service specialised heads and the auxiliary forest, and
 //       save the trained bundle. With --freeze-kernel --service N
-//       --from general.bin, instead fine-tune only service N's FC head on
-//       the frozen LandPooling kernel and save it as a head bundle for
-//       `serve --service-models`.
+//       --from general.bin, instead fine-tune only service N's head (the
+//       final FC layers) on the frozen trunk (LandPooling + first hidden
+//       layer) and save it as a head bundle for `serve --service-models`.
 //
 //   diagnet diagnose --campaign campaign.csv --model model.bin [--sample N]
 //       Load a trained model and print the ranked root causes for the
@@ -222,7 +222,8 @@ const util::ArgSpec kTrainArgs[] = {
     {"epochs", util::ArgType::kUint, "0",
      "cap training epochs (0 = paper defaults)"},
     {"freeze-kernel", util::ArgType::kFlag, "",
-     "fine-tune only one service's FC head on a frozen LandPooling kernel"},
+     "fine-tune only one service's head on the frozen trunk (LandPooling + "
+     "first hidden layer)"},
     {"service", util::ArgType::kUint, "0",
      "service id to specialise (with --freeze-kernel)"},
     {"from", util::ArgType::kString, "",
@@ -252,12 +253,13 @@ int cmd_train(const util::ParsedArgs& args) {
   std::cout << "Hidden-landmark split: " << split.train.size()
             << " train / " << split.test.size() << " test samples.\n";
 
-  // --freeze-kernel: load an already-trained bundle, freeze its shared
-  // LandPooling representation, and fine-tune only the FC head of one
-  // service. The saved bundle is a per-service head a serving router can
-  // merge back onto the general model (`serve --service-models id:path`);
-  // the frozen kernel guarantees the head shares the general model's
-  // pooling bit-for-bit, which is what lets the router batch them together.
+  // --freeze-kernel: load an already-trained bundle, freeze its trunk
+  // (LandPooling + first hidden layer), and fine-tune only the head (the
+  // final FC layers) of one service. The saved bundle carries a per-service
+  // head a serving router can merge back onto the general model (`serve
+  // --service-models id:path`); the frozen trunk is what lets the head run
+  // on the general model's trunk, so the router refuses heads fine-tuned
+  // from any other trunk.
   if (args.flag("freeze-kernel")) {
     const std::string from = args.str("from");
     const std::size_t service = args.uint("service");
@@ -271,8 +273,8 @@ int cmd_train(const util::ParsedArgs& args) {
       return 1;
     }
     const auto model = std::move(model_or).value();
-    std::cout << "Fine-tuning FC head for service " << service
-              << " on frozen kernel from " << from << "...\n";
+    std::cout << "Fine-tuning the head for service " << service
+              << " on the frozen trunk from " << from << "...\n";
     const auto history = model->specialize(service, split.train);
     std::cout << "  specialised in " << (history.best_epoch + 1)
               << " epoch(s) (" << util::fmt(history.wall_seconds, 1)
